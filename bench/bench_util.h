@@ -119,9 +119,8 @@ inline void Replay(Engine* engine, const std::vector<Event>& events) {
   engine->Finish();
 }
 
-/// Replay through PushAll: same-stream runs flow through the batched
-/// columnar ingest path (EngineOptions::batch_ingest) instead of per-event
-/// Push.
+/// Replays a copy of `events` through one PushAll call, finishing at the
+/// end.
 inline void ReplayBatch(Engine* engine, const std::vector<Event>& events) {
   const Status s = engine->PushAll(std::vector<Event>(events));
   CEPR_CHECK(s.ok()) << s.ToString();

@@ -14,17 +14,13 @@ namespace cepr {
 /// recycles the slot. Single-threaded by design (each matcher tree owns its
 /// pool), which is what makes the freelist and the counters cheap.
 ///
-/// Constructed with pooled=false the pool degrades to plain new/delete —
-/// the ablation mode that isolates the arena's contribution from the
-/// copy-on-write win (see docs/BENCHMARKS.md E14).
-///
 /// All objects must be Delete()d before the pool dies: the destructor only
 /// reclaims raw chunk storage and never runs destructors of live objects.
 template <typename T>
 class ObjectPool {
  public:
-  explicit ObjectPool(bool pooled = true, size_t chunk_capacity = 1024)
-      : pooled_(pooled), chunk_capacity_(chunk_capacity) {}
+  explicit ObjectPool(size_t chunk_capacity = 1024)
+      : chunk_capacity_(chunk_capacity) {}
 
   ObjectPool(const ObjectPool&) = delete;
   ObjectPool& operator=(const ObjectPool&) = delete;
@@ -32,7 +28,6 @@ class ObjectPool {
   template <typename... Args>
   T* New(Args&&... args) {
     ++constructed_;
-    if (!pooled_) return new T(std::forward<Args>(args)...);
     if (free_ == nullptr) Refill();
     Slot* slot = free_;
     free_ = slot->next_free;
@@ -41,21 +36,13 @@ class ObjectPool {
 
   void Delete(T* obj) {
     if (obj == nullptr) return;
-    if (!pooled_) {
-      delete obj;
-      return;
-    }
     obj->~T();
     Slot* slot = reinterpret_cast<Slot*>(obj);
     slot->next_free = free_;
     free_ = slot;
   }
 
-  bool pooled() const { return pooled_; }
-
-  /// Lifetime count of New() calls — the "objects allocated" metric. The
-  /// count is mode-independent of where the storage came from, so it is
-  /// comparable across pooled and passthrough configurations.
+  /// Lifetime count of New() calls — the "objects allocated" metric.
   uint64_t constructed() const { return constructed_; }
 
   /// Constructions since the previous call (single-threaded metrics
@@ -81,7 +68,6 @@ class ObjectPool {
     }
   }
 
-  bool pooled_;
   size_t chunk_capacity_;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   Slot* free_ = nullptr;

@@ -89,18 +89,6 @@ class BindingList {
     if (head_ != nullptr) ++head_->refs;
   }
 
-  /// O(n) legacy-style fork: rebuilds the chain node by node. Kept as the
-  /// deep-copy ablation mode — observationally identical to CopySharedFrom,
-  /// with the allocation profile of the old owned-vector representation.
-  void CopyDeepFrom(const BindingList& src) {
-    std::vector<const BindingNode*> nodes(src.count_);
-    size_t i = src.count_;
-    for (const BindingNode* n = src.head_; n != nullptr; n = n->prev) {
-      nodes[--i] = n;
-    }
-    for (const BindingNode* n : nodes) Append(n->event);
-  }
-
   /// Drops this list's reference on the chain, releasing every node whose
   /// refcount hits zero (stops at the first cell still shared by a fork).
   void Clear() {

@@ -191,8 +191,7 @@ Matcher::Matcher(CompiledQueryPtr plan, const MatcherOptions& options,
       memory_(memory),
       pred_cache_(static_cast<size_t>(plan_->pattern.num_event_preds), -1) {
   if (memory_ == nullptr) {
-    owned_memory_ = std::make_unique<RunMemory>(
-        plan_.get(), options_.cow_bindings, options_.use_arena);
+    owned_memory_ = std::make_unique<RunMemory>(plan_.get());
     memory_ = owned_memory_.get();
   }
 }
@@ -215,22 +214,27 @@ bool Matcher::TypeMatches(const std::string& tag, const Event& event) const {
 bool Matcher::EvalPred(const Run& run, const Expr& pred,
                        const BytecodeProgram* prog, int cache_id, int var_index,
                        const Event& event) const {
-  const bool use_vm = prog != nullptr && options_.bytecode_eval;
-  if (cache_id < 0 || !options_.predicate_cache) {
-    // Correlated conjunct (or cache disabled): evaluate against the run,
-    // which answers `var_index` with the installed candidate.
-    auto r = use_vm ? VmEvaluatePredicate(*prog, run, &vm_)
-                    : EvaluatePredicate(pred, run);
-    return r.ok() && r.value();
+  if (cache_id >= 0) {
+    return CachedVerdict(pred, prog, cache_id, var_index, event);
   }
+  // Correlated conjunct: evaluate against the run, which answers
+  // `var_index` with the installed candidate.
+  auto r = prog != nullptr ? VmEvaluatePredicate(*prog, run, &vm_)
+                           : EvaluatePredicate(pred, run);
+  return r.ok() && r.value();
+}
+
+bool Matcher::CachedVerdict(const Expr& pred, const BytecodeProgram* prog,
+                            int cache_id, int var_index,
+                            const Event& event) const {
   int8_t& slot = pred_cache_[static_cast<size_t>(cache_id)];
   if (slot < 0) {
     // First consult this event: compute once under an EventOnlyContext —
     // provably the same verdict a run evaluation would produce (the
     // conjunct references nothing but the candidate event).
     EventOnlyContext ctx(var_index, &event);
-    auto r = use_vm ? VmEvaluatePredicate(*prog, ctx, &vm_)
-                    : EvaluatePredicate(pred, ctx);
+    auto r = prog != nullptr ? VmEvaluatePredicate(*prog, ctx, &vm_)
+                             : EvaluatePredicate(pred, ctx);
     slot = (r.ok() && r.value()) ? 1 : 0;
     stats_->predcache_misses.Increment();
   } else {
@@ -283,9 +287,8 @@ bool Matcher::PassesExit(Run* run, int comp_index) const {
   }
   for (size_t i = 0; i < comp.exit_preds.size(); ++i) {
     const BytecodeProgram* prog = comp.exit_pred_progs[i].get();
-    auto r = prog != nullptr && options_.bytecode_eval
-                 ? VmEvaluatePredicate(*prog, *run, &vm_)
-                 : EvaluatePredicate(*comp.exit_preds[i], *run);
+    auto r = prog != nullptr ? VmEvaluatePredicate(*prog, *run, &vm_)
+                             : EvaluatePredicate(*comp.exit_preds[i], *run);
     if (!r.ok() || !r.value()) return false;
   }
   return true;
@@ -377,14 +380,13 @@ bool Matcher::MaybeEmit(Run* run, std::vector<Match>* out) {
   m.row.reserve(plan_->analyzed.ast.select.size());
   for (size_t i = 0; i < plan_->analyzed.ast.select.size(); ++i) {
     const BytecodeProgram* prog = plan_->select_progs[i].get();
-    auto v = prog != nullptr && options_.bytecode_eval
-                 ? VmEvaluate(*prog, *run, &vm_)
-                 : Evaluate(*plan_->analyzed.ast.select[i].expr, *run);
+    auto v = prog != nullptr ? VmEvaluate(*prog, *run, &vm_)
+                             : Evaluate(*plan_->analyzed.ast.select[i].expr, *run);
     m.row.push_back(v.ok() ? std::move(v).value() : Value::Null());
   }
   if (plan_->score == nullptr) {
     m.score = 0.0;
-  } else if (plan_->score_prog != nullptr && options_.bytecode_eval) {
+  } else if (plan_->score_prog != nullptr) {
     m.score = VmEvaluateScore(*plan_->score_prog, *run, &vm_);
   } else {
     m.score = EvaluateScore(*plan_->score, *run);
@@ -414,29 +416,12 @@ bool Matcher::GroupEventPasses(const Event& event) const {
   const CompiledComponent& comp = plan_->pattern.components.back();
   if (!TypeMatches(comp.type_tag, event)) return false;
   for (size_t i = 0; i < comp.iter_preds.size(); ++i) {
-    // Every iteration conjunct is event-only under DAG eligibility, so an
-    // EventOnlyContext evaluation is provably the verdict any run would
-    // produce; share it through the per-event cache like EvalPred does.
-    const int cache_id = comp.iter_pred_cache_ids[i];
-    int8_t* slot = options_.predicate_cache
-                       ? &pred_cache_[static_cast<size_t>(cache_id)]
-                       : nullptr;
-    if (slot != nullptr && *slot >= 0) {
-      stats_->predcache_hits.Increment();
-      if (*slot == 0) return false;
-      continue;
+    // Every iteration conjunct is event-only under DAG eligibility, so the
+    // cached EventOnlyContext verdict is provably what any run would get.
+    if (!CachedVerdict(*comp.iter_preds[i], comp.iter_pred_progs[i].get(),
+                       comp.iter_pred_cache_ids[i], comp.var_index, event)) {
+      return false;
     }
-    const BytecodeProgram* prog = comp.iter_pred_progs[i].get();
-    EventOnlyContext ctx(comp.var_index, &event);
-    auto r = prog != nullptr && options_.bytecode_eval
-                 ? VmEvaluatePredicate(*prog, ctx, &vm_)
-                 : EvaluatePredicate(*comp.iter_preds[i], ctx);
-    const bool pass = r.ok() && r.value();
-    if (slot != nullptr) {
-      *slot = pass ? 1 : 0;
-      stats_->predcache_misses.Increment();
-    }
-    if (!pass) return false;
   }
   return true;
 }
@@ -527,35 +512,6 @@ void Matcher::ProcessGroups(const EventPtr& event,
     dag->Unref(g.head);
     g.head = head;
   }
-}
-
-void Matcher::ColumnarExpire(const Event& event) {
-  if (plan_->within_micros <= 0 && plan_->within_events <= 0) return;
-  // Dense-column scan (the EventBatch SoA idiom applied to the run buffer):
-  // the expiry test touches two contiguous columns instead of every Run.
-  size_t write = 0;
-  for (size_t read = 0; read < runs_.size(); ++read) {
-    const bool expired =
-        (plan_->within_micros > 0 &&
-         event.timestamp() - run_first_ts_[read] > plan_->within_micros) ||
-        (plan_->within_events > 0 &&
-         event.sequence() - run_first_seq_[read] >
-             static_cast<uint64_t>(plan_->within_events));
-    if (expired) {
-      stats_->runs_expired.Increment();
-      continue;
-    }
-    if (write != read) {
-      runs_[write] = std::move(runs_[read]);
-      run_first_ts_[write] = run_first_ts_[read];
-      run_first_seq_[write] = run_first_seq_[read];
-    }
-    ++write;
-  }
-  if (live_runs_ != nullptr) *live_runs_ -= runs_.size() - write;
-  runs_.resize(write);
-  run_first_ts_.resize(write);
-  run_first_seq_.resize(write);
 }
 
 Matcher::RunFate Matcher::ProcessRun(Run* run, const EventPtr& event,
@@ -695,10 +651,6 @@ void Matcher::TryStartRun(const EventPtr& event, std::vector<Match>* out,
 
 void Matcher::RemoveRunAt(size_t index) {
   runs_.erase(runs_.begin() + static_cast<std::ptrdiff_t>(index));
-  run_first_ts_.erase(run_first_ts_.begin() +
-                      static_cast<std::ptrdiff_t>(index));
-  run_first_seq_.erase(run_first_seq_.begin() +
-                       static_cast<std::ptrdiff_t>(index));
   if (live_runs_ != nullptr) --*live_runs_;
 }
 
@@ -746,8 +698,6 @@ void Matcher::InsertRun(RunHandle run) {
   if ((partition_full || total_full) && !ShedOne(*run)) {
     return;  // the incoming run was the shed victim
   }
-  run_first_ts_.push_back(run->first_ts());
-  run_first_seq_.push_back(run->first_sequence());
   runs_.push_back(std::move(run));
   if (live_runs_ != nullptr) ++*live_runs_;
 }
@@ -777,17 +727,11 @@ void Matcher::QuarantineEvent(const Event& event) {
       stats_->runs_poisoned.Increment();
       continue;  // the run's predicate evaluation faulted with the event
     }
-    if (write != read) {
-      runs_[write] = std::move(runs_[read]);
-      run_first_ts_[write] = run_first_ts_[read];
-      run_first_seq_[write] = run_first_seq_[read];
-    }
+    if (write != read) runs_[write] = std::move(runs_[read]);
     ++write;
   }
   if (live_runs_ != nullptr) *live_runs_ -= runs_.size() - write;
   runs_.resize(write);
-  run_first_ts_.resize(write);
-  run_first_seq_.resize(write);
   // Every DAG group has the trailing Kleene open, so a type-matching poison
   // event would have faulted its (shared) iteration predicates — the same
   // condition WouldEvaluate applies to the forked runs the groups replace.
@@ -833,11 +777,8 @@ Status Matcher::OnEvent(const EventPtr& event, std::vector<Match>* out,
   }
 
   // Forget the previous event's cached event-only verdicts.
-  if (options_.predicate_cache && !pred_cache_.empty()) {
-    std::fill(pred_cache_.begin(), pred_cache_.end(), int8_t{-1});
-  }
+  std::fill(pred_cache_.begin(), pred_cache_.end(), int8_t{-1});
 
-  if (options_.columnar_expiry) ColumnarExpire(*event);
   // Step existing groups before the run loop: groups created during this
   // event (run intercepts / fresh anchors) incorporate it at creation and
   // must not be stepped again.
@@ -850,18 +791,12 @@ Status Matcher::OnEvent(const EventPtr& event, std::vector<Match>* out,
     const RunFate fate =
         ProcessRun(runs_[read].get(), event, out, &forks, lazy_out);
     if (fate == RunFate::kKeep) {
-      if (write != read) {
-        runs_[write] = std::move(runs_[read]);
-        run_first_ts_[write] = run_first_ts_[read];
-        run_first_seq_[write] = run_first_seq_[read];
-      }
+      if (write != read) runs_[write] = std::move(runs_[read]);
       ++write;
     }
   }
   if (live_runs_ != nullptr) *live_runs_ -= runs_.size() - write;
   runs_.resize(write);
-  run_first_ts_.resize(write);
-  run_first_seq_.resize(write);
 
   for (auto& fork : forks) InsertRun(std::move(fork));
 
@@ -908,8 +843,6 @@ bool Matcher::LoadState(EventUninterner* in, BinReader* r) {
     if (!r->U64(&id)) return false;
     RunHandle run = memory_->runs.Acquire(id);
     if (!run->LoadState(in, r)) return false;
-    run_first_ts_.push_back(run->first_ts());
-    run_first_seq_.push_back(run->first_sequence());
     runs_.push_back(std::move(run));
   }
   if (live_runs_ != nullptr) *live_runs_ += runs_.size();

@@ -136,37 +136,14 @@ struct MatcherOptions {
   /// null, must outlive the matcher.
   const FaultInjector* fault_injector = nullptr;
 
-  // -- Hot-path ablation switches (E14). Defaults are the fast path; each
-  //    may be disabled independently to isolate its contribution. All four
-  //    combinations are observationally identical (same matches, scores,
-  //    tie-broken order) — enforced by CowEquivalence tests. --------------
-  /// Copy-on-write persistent bindings: forking shares the parent's chains
-  /// (O(components)). false = legacy node-by-node deep copy (O(events)).
-  bool cow_bindings = true;
-  /// Pool Run objects and binding nodes in per-query freelists; false =
-  /// plain new/delete per object.
-  bool use_arena = true;
-  /// Evaluate event-only predicates once per event and share the verdict
-  /// across the partition's runs; false = re-evaluate per run.
-  bool predicate_cache = true;
-  /// Execute predicates / SELECT items / scores through the flat bytecode
-  /// VM (expr/vm.h) instead of the recursive AST walk; false = legacy AST
-  /// evaluation. Bit-identical output either way (the VM mirrors the AST
-  /// evaluator's semantics exactly; enforced by BytecodeEquivalence tests).
-  bool bytecode_eval = true;
   /// Represent the trailing-Kleene fan-out of eligible SKIP_TILL_ANY_MATCH
   /// patterns (see MatchDagEligible) as a shared partial-match DAG with
   /// lazy rank-ordered enumeration at window close, instead of one forked
   /// run per suffix subset: per-event work drops from O(live runs) to
-  /// O(groups) and state stays linear in window size. false = the PR4
-  /// per-run COW path. Ranked output is identical either way (enforced by
-  /// CowEquivalence dag rows).
+  /// O(groups) and state stays linear in window size. false = the per-run
+  /// path that ineligible shapes always take. Ranked output is identical
+  /// either way (enforced by CowEquivalence dag rows).
   bool shared_match_dag = true;
-  /// Expire runs with a dense column scan (EventBatch-style SoA view over
-  /// first-timestamp / first-sequence columns maintained beside the run
-  /// set) instead of dereferencing each Run in the per-run loop; false =
-  /// the legacy per-run check. Observationally identical.
-  bool columnar_expiry = true;
 };
 
 /// Overlays engine-wide overload/fault options onto a query's own
@@ -280,25 +257,22 @@ class Matcher {
                   std::vector<LazyMatchSet>* lazy_out);
   void ReleaseGroups();
 
-  /// Columnar run expiry (options_.columnar_expiry): scans the dense
-  /// first-timestamp / first-sequence columns kept parallel to runs_ and
-  /// compacts expired runs away before the per-run loop.
-  void ColumnarExpire(const Event& event);
-
   /// Acquires a pooled run and copies `src`'s state into it (counted).
   RunHandle CloneRun(const Run& src, uint64_t new_id);
 
   bool TypeMatches(const std::string& tag, const Event& event) const;
   /// Evaluates one edge-predicate conjunct for `run` with `event` as the
   /// candidate for `var_index`. Event-only conjuncts (cache_id >= 0) are
-  /// answered from the per-event cache when the predicate cache is on —
-  /// evaluated at most once per event under an EventOnlyContext and shared
-  /// across every run of the partition; correlated conjuncts (and all
-  /// conjuncts with the cache disabled) evaluate against the run.
-  /// `prog` is the conjunct's compiled bytecode (nullptr = AST fallback),
-  /// used when options_.bytecode_eval is on.
+  /// answered by CachedVerdict; correlated conjuncts evaluate against the
+  /// run. `prog` is the conjunct's compiled bytecode (nullptr = the AST
+  /// walker, where Compile emitted no program).
   bool EvalPred(const Run& run, const Expr& pred, const BytecodeProgram* prog,
                 int cache_id, int var_index, const Event& event) const;
+  /// Verdict of event-only conjunct `cache_id` for `event`: evaluated at
+  /// most once per event under an EventOnlyContext and shared across every
+  /// run, begin-probe and DAG group of the partition.
+  bool CachedVerdict(const Expr& pred, const BytecodeProgram* prog,
+                     int cache_id, int var_index, const Event& event) const;
   bool PassesBegin(Run* run, int comp_index, const Event& event) const;
   bool PassesIter(Run* run, int comp_index, const Event& event) const;
   /// Exit predicates + the minimum-iteration bound of component
@@ -353,10 +327,6 @@ class Matcher {
   RunMemory* memory_;  // never null after ctor
   uint64_t next_run_id_ = 0;
   std::vector<RunHandle> runs_;
-  /// Dense SoA columns parallel to runs_ (first bound event's timestamp /
-  /// stream sequence), scanned by ColumnarExpire.
-  std::vector<Timestamp> run_first_ts_;
-  std::vector<uint64_t> run_first_seq_;
   /// Latched on the first event: groups are maintained iff the scope has a
   /// DAG store AND the caller collects lazy sets.
   bool dag_decided_ = false;

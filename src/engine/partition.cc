@@ -15,8 +15,7 @@ PartitionedMatcher::PartitionedMatcher(CompiledQueryPtr plan,
       options_(options),
       pruner_(pruner),
       live_runs_(live_runs != nullptr ? live_runs : &own_live_runs_),
-      memory_(plan_.get(), options_.cow_bindings, options_.use_arena,
-              options_.shared_match_dag) {
+      memory_(plan_.get(), options_.shared_match_dag) {
   if (plan_->partition_attr_index < 0) {
     single_ = std::make_unique<Matcher>(plan_, options_, pruner_, &stats_,
                                         &next_match_id_, live_runs_, &memory_);

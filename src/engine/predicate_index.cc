@@ -299,99 +299,4 @@ bool PredicateIndex::EvalResidual(const ResidualEntry& r,
   return true;
 }
 
-void PredicateIndex::ProbeBatch(const EventBatch& batch,
-                                std::vector<std::vector<QueryId>>* out) const {
-  const size_t rows = batch.size();
-  out->resize(rows);
-  for (auto& v : *out) v.clear();
-  if (rows == 0) return;
-
-  // Row-major candidate bitmaps: `words` 64-bit words per event, bit = query
-  // id. Ids are dense per-stream slots in both engines, so the bitmaps stay
-  // narrow; a sparse id space would only cost wider rows, not correctness.
-  const QueryId max_id = queries_.empty() ? 0 : queries_.rbegin()->first;
-  const size_t words = (static_cast<size_t>(max_id) + 64) / 64;
-  bitmap_scratch_.assign(rows * words, 0);
-  uint64_t* bits = bitmap_scratch_.data();
-  const auto set_bit = [bits, words](size_t row, QueryId id) {
-    bits[row * words + id / 64] |= uint64_t{1} << (id % 64);
-  };
-
-  for (const QueryId id : always_) {
-    for (size_t row = 0; row < rows; ++row) set_bit(row, id);
-  }
-
-  // Equality guards: column-major hash probes (one table walk per attr keeps
-  // the buckets cache-hot across the whole batch).
-  for (const auto& [attr, by_value] : eq_) {
-    for (size_t row = 0; row < rows; ++row) {
-      const Value& v = batch.event(row).value(static_cast<size_t>(attr));
-      if (v.is_null()) continue;  // NULL = lit -> NULL -> false
-      const auto it = by_value.find(v);
-      if (it == by_value.end()) continue;
-      for (const QueryId id : it->second) set_bit(row, id);
-    }
-  }
-
-  // Range guards: tight scans over the materialized numeric column. The
-  // column's `ok` already folds in NULL / non-numeric / NaN (never passes),
-  // so the inner loops are pure double compares.
-  for (const auto& [attr, lists] : range_) {
-    const EventBatch::NumericColumn& col = batch.numeric_column(attr);
-    const double* x = col.x.data();
-    const uint8_t* ok = col.ok.data();
-    for (const RangeEntry& e : lists.less) {
-      const double t = e.threshold;
-      if (e.inclusive) {
-        for (size_t row = 0; row < rows; ++row) {
-          if (ok[row] && x[row] <= t) set_bit(row, e.query);
-        }
-      } else {
-        for (size_t row = 0; row < rows; ++row) {
-          if (ok[row] && x[row] < t) set_bit(row, e.query);
-        }
-      }
-    }
-    for (const RangeEntry& e : lists.greater) {
-      const double t = e.threshold;
-      if (e.inclusive) {
-        for (size_t row = 0; row < rows; ++row) {
-          if (ok[row] && x[row] >= t) set_bit(row, e.query);
-        }
-      } else {
-        for (size_t row = 0; row < rows; ++row) {
-          if (ok[row] && x[row] > t) set_bit(row, e.query);
-        }
-      }
-    }
-  }
-
-  // Residual guards: column-major over entries, bytecode per row.
-  for (const ResidualEntry& r : residual_) {
-    for (size_t row = 0; row < rows; ++row) {
-      if (EvalResidual(r, batch.event(row))) set_bit(row, r.query);
-    }
-  }
-
-  // Bitmap -> ascending id lists (bit order IS id order, so no sort).
-  uint64_t total = 0;
-  for (size_t row = 0; row < rows; ++row) {
-    std::vector<QueryId>& cand = (*out)[row];
-    for (size_t w = 0; w < words; ++w) {
-      uint64_t word = bits[row * words + w];
-      while (word != 0) {
-        const int bit = __builtin_ctzll(word);
-        cand.push_back(static_cast<QueryId>(w * 64 + static_cast<size_t>(bit)));
-        word &= word - 1;
-      }
-    }
-    total += cand.size();
-  }
-
-  probes_.Add(rows);
-  candidates_.Add(total);
-  batch_scan_events_.Add(rows);
-  bitmap_hits_.Add(total);
-}
-
 }  // namespace cepr

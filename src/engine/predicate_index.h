@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/counters.h"
-#include "engine/window.h"
 #include "event/event.h"
 #include "expr/vm.h"
 #include "plan/compiler.h"
@@ -63,26 +62,12 @@ class PredicateIndex {
   /// id order. Counts one probe and the candidates it produced.
   void Probe(const Event& event, std::vector<QueryId>* out) const;
 
-  /// Batched Probe: fills `out` (resized to batch.size()) so that out[row]
-  /// is exactly what Probe(batch.event(row), ...) would append — same ids,
-  /// same ascending order. Range guards run as tight scans over the batch's
-  /// numeric columns into per-row candidate bitmaps; equality and residual
-  /// guards iterate column-major so index structures stay cache-hot across
-  /// the batch. Counts batch.size() probes plus the batch counters
-  /// (`batch_scan_events`, `bitmap_hits`).
-  void ProbeBatch(const EventBatch& batch,
-                  std::vector<std::vector<QueryId>>* out) const;
-
   size_t num_queries() const { return queries_.size(); }
   /// Queries a probe can never rule out (no indexable entry conjunct).
   size_t num_always_candidates() const { return always_.size(); }
 
   uint64_t probes() const { return probes_.Load(); }
   uint64_t candidates() const { return candidates_.Load(); }
-  /// Events screened through ProbeBatch (a subset of probes()).
-  uint64_t batch_scan_events() const { return batch_scan_events_.Load(); }
-  /// Candidate (event, query) pairs ProbeBatch marked in its bitmaps.
-  uint64_t bitmap_hits() const { return bitmap_hits_.Load(); }
 
  private:
   struct ValueHash {
@@ -134,14 +119,9 @@ class PredicateIndex {
   /// Register file for residual bytecode evaluation (single-threaded like
   /// the rest of the probe path).
   mutable VmState vm_;
-  /// ProbeBatch scratch: row-major candidate bitmaps, one word-span per
-  /// event of the batch.
-  mutable std::vector<uint64_t> bitmap_scratch_;
 
   mutable RelaxedCounter probes_;
   mutable RelaxedCounter candidates_;
-  mutable RelaxedCounter batch_scan_events_;
-  mutable RelaxedCounter bitmap_hits_;
 };
 
 }  // namespace cepr

@@ -17,19 +17,16 @@ std::string Match::ToString() const {
   return out;
 }
 
-Run::Run(const CompiledQuery* plan, uint64_t id, BindingArena* arena,
-         bool cow_bindings)
+Run::Run(const CompiledQuery* plan, uint64_t id, BindingArena* arena)
     : plan_(plan),
       arena_(arena),
-      cow_(cow_bindings),
       id_(id),
       bindings_(plan->layout().num_vars()),
       aggs_(&plan->pattern.agg_specs) {
   for (BindingList& list : bindings_) list.InitArena(arena_);
 }
 
-Run::Run(const CompiledQuery* plan, uint64_t id)
-    : Run(plan, id, nullptr, /*cow_bindings=*/true) {
+Run::Run(const CompiledQuery* plan, uint64_t id) : Run(plan, id, nullptr) {
   own_arena_ = std::make_shared<BindingArena>();
   arena_ = own_arena_.get();
   for (BindingList& list : bindings_) list.InitArena(arena_);
@@ -45,11 +42,7 @@ void Run::CopyStateFrom(const Run& src, uint64_t new_id) {
   candidate_ = nullptr;
   for (size_t v = 0; v < bindings_.size(); ++v) {
     bindings_[v].Clear();
-    if (cow_) {
-      bindings_[v].CopySharedFrom(src.bindings_[v]);
-    } else {
-      bindings_[v].CopyDeepFrom(src.bindings_[v]);
-    }
+    bindings_[v].CopySharedFrom(src.bindings_[v]);
   }
 }
 
@@ -65,7 +58,7 @@ void Run::Reset(uint64_t new_id) {
 }
 
 std::unique_ptr<Run> Run::Clone(uint64_t new_id) const {
-  auto copy = std::make_unique<Run>(plan_, new_id, arena_, cow_);
+  auto copy = std::make_unique<Run>(plan_, new_id, arena_);
   copy->own_arena_ = own_arena_;  // keep a test-owned arena alive
   copy->CopyStateFrom(*this, new_id);
   return copy;
@@ -238,14 +231,10 @@ RunHandle RunPool::Acquire(uint64_t id) {
     run->Reset(id);
     return RunHandle(run, RunRecycler{this});
   }
-  return RunHandle(new Run(plan_, id, arena_, cow_), RunRecycler{this});
+  return RunHandle(new Run(plan_, id, arena_), RunRecycler{this});
 }
 
 void RunPool::Recycle(Run* run) {
-  if (!pooled_) {
-    delete run;
-    return;
-  }
   // Release binding nodes back to the arena now; the Run object itself is
   // shelved with its capacities intact.
   run->Reset(0);

@@ -55,30 +55,27 @@ struct Match {
 /// Bindings are persistent copy-on-write cons lists (engine/binding.h):
 /// forking a run copies O(components) list heads and shares every already-
 /// bound event with the parent, instead of deep-copying the whole binding
-/// matrix. The legacy deep-copy behavior survives as an ablation mode
-/// (cow_bindings = false) with identical observable semantics.
+/// matrix.
 class Run : public EvalContext, public BoundEnv {
  public:
   /// Engine path: nodes come from `arena` (owned by the enclosing
   /// PartitionedMatcher / Matcher and outliving every run).
-  Run(const CompiledQuery* plan, uint64_t id, BindingArena* arena,
-      bool cow_bindings = true);
+  Run(const CompiledQuery* plan, uint64_t id, BindingArena* arena);
 
   /// Test convenience: the run owns a private arena (shared with any runs
   /// Clone() derives from it, so destruction order does not matter).
   Run(const CompiledQuery* plan, uint64_t id);
 
   /// Fork helper: copies `src`'s state into this (freshly acquired or
-  /// Reset) run — O(components) pointer copies under copy-on-write,
-  /// node-by-node rebuild in the deep-copy ablation mode.
+  /// Reset) run — O(components) pointer copies.
   void CopyStateFrom(const Run& src, uint64_t new_id);
 
   /// Returns this run to its initial state, keeping allocated capacity
   /// (vector storage, aggregate slots) — the RunPool recycling hook.
   void Reset(uint64_t new_id);
 
-  /// Copy used for forking under SKIP_TILL_ANY_MATCH (events are shared;
-  /// list structure is shared or rebuilt per the copy-on-write mode).
+  /// Copy used for forking under SKIP_TILL_ANY_MATCH (events and list
+  /// structure are shared with this run).
   std::unique_ptr<Run> Clone(uint64_t new_id) const;
 
   uint64_t id() const { return id_; }
@@ -168,7 +165,6 @@ class Run : public EvalContext, public BoundEnv {
   /// the arena survives as long as any run referencing its nodes.
   std::shared_ptr<BindingArena> own_arena_;
   BindingArena* arena_;  // not owned (or == own_arena_.get())
-  bool cow_ = true;
   uint64_t id_;
   int next_component_ = 0;
   std::vector<BindingList> bindings_;  // indexed by layout var
@@ -195,13 +191,11 @@ using RunHandle = std::unique_ptr<Run, RunRecycler>;
 
 /// Freelist of Run objects for one query's matchers: recycled runs keep
 /// their vector capacities and aggregate slots, so the fork/kill cycle of
-/// SKIP_TILL_ANY_MATCH stops allocating per run. With pooled = false the
-/// pool degrades to plain new/delete (the no-arena ablation mode).
+/// SKIP_TILL_ANY_MATCH stops allocating per run.
 class RunPool {
  public:
-  RunPool(const CompiledQuery* plan, BindingArena* arena, bool cow_bindings,
-          bool pooled)
-      : plan_(plan), arena_(arena), cow_(cow_bindings), pooled_(pooled) {}
+  RunPool(const CompiledQuery* plan, BindingArena* arena)
+      : plan_(plan), arena_(arena) {}
   ~RunPool();
 
   RunPool(const RunPool&) = delete;
@@ -217,8 +211,6 @@ class RunPool {
  private:
   const CompiledQuery* plan_;  // not owned
   BindingArena* arena_;        // not owned; outlives the pool's runs
-  bool cow_;
-  bool pooled_;
   std::vector<Run*> free_;  // owned
 };
 
@@ -227,9 +219,8 @@ class RunPool {
 /// the run freelist, shared by every partition matcher of that scope.
 /// Declared before the matchers it serves so it outlives their run sets.
 struct RunMemory {
-  RunMemory(const CompiledQuery* plan, bool cow_bindings, bool use_arena,
-            bool shared_match_dag = false)
-      : arena(use_arena), runs(plan, &arena, cow_bindings, use_arena) {
+  explicit RunMemory(const CompiledQuery* plan, bool shared_match_dag = false)
+      : runs(plan, &arena) {
     if (shared_match_dag && MatchDagEligible(*plan)) {
       dag = std::make_shared<MatchDagStore>(plan);
     }

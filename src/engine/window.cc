@@ -1,34 +1,8 @@
 #include "engine/window.h"
 
-#include <cmath>
-
 #include "common/logging.h"
 
 namespace cepr {
-
-const EventBatch::NumericColumn& EventBatch::numeric_column(
-    int attr_index) const {
-  NumericColumn& col = columns_[static_cast<size_t>(attr_index)];
-  if (col.built) return col;
-  col.x.resize(size_);
-  col.ok.resize(size_);
-  for (size_t row = 0; row < size_; ++row) {
-    const Value& v = events_[row].value(static_cast<size_t>(attr_index));
-    double x = 0.0;
-    uint8_t ok = 0;
-    if (v.type() == ValueType::kInt) {
-      x = static_cast<double>(v.AsInt());
-      ok = 1;
-    } else if (v.type() == ValueType::kFloat) {
-      x = v.AsFloat();
-      ok = static_cast<uint8_t>(!std::isnan(x));
-    }
-    col.x[row] = x;
-    col.ok[row] = ok;
-  }
-  col.built = true;
-  return col;
-}
 
 ReportWindowAssigner ReportWindowAssigner::ForQuery(const CompiledQuery& query) {
   ReportWindowAssigner a;

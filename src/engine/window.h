@@ -3,51 +3,11 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "event/event.h"
 #include "plan/compiler.h"
 
 namespace cepr {
-
-/// Columnar view over a contiguous span of events released from a stream's
-/// reorder buffer in one ingest call — the unit of batched routing.
-///
-/// Rows stay row-major Events (the matcher binds whole events); what the
-/// batch adds is lazily materialized per-attribute numeric columns so the
-/// predicate index's entry screening (PredicateIndex::ProbeBatch) can run
-/// range guards as tight column scans instead of per-event virtual walks.
-/// A column is built at most once per batch, on first request, and only for
-/// attributes a guard actually consults.
-///
-/// The view does not own the events; the caller's released vector must
-/// outlive it. Batches are built and consumed on the ingest thread.
-class EventBatch {
- public:
-  /// One attribute's values for every row, widened to double exactly the
-  /// way the evaluator compares numerics. `ok[row] == 0` marks values no
-  /// range guard can pass: NULL, non-numeric, or NaN (every comparison
-  /// with NaN is false in CEPR-QL).
-  struct NumericColumn {
-    std::vector<double> x;
-    std::vector<uint8_t> ok;
-    bool built = false;
-  };
-
-  EventBatch(const Event* events, size_t size, size_t num_attrs)
-      : events_(events), size_(size), columns_(num_attrs) {}
-
-  size_t size() const { return size_; }
-  const Event& event(size_t row) const { return events_[row]; }
-
-  /// The materialized column for a schema attribute (lazy).
-  const NumericColumn& numeric_column(int attr_index) const;
-
- private:
-  const Event* events_;
-  size_t size_;
-  mutable std::vector<NumericColumn> columns_;
-};
 
 /// Assigns events / matches to ranking report windows. The ranking layer
 /// buffers matches per window; when the stream moves to a later window the

@@ -41,8 +41,8 @@ class VmState {
 /// expr/eval.h for the semantics). Guaranteed bit-identical to the AST
 /// evaluator — same values, same NULL propagation, same overflow-to-NULL
 /// arithmetic, and error statuses in exactly the same situations — which is
-/// what lets the `bytecode_eval` ablation knob flip freely without changing
-/// any ranked output.
+/// what lets the matcher fall back to the AST walker for an expression
+/// Compile emitted no program for without changing any ranked output.
 Result<Value> VmEvaluate(const BytecodeProgram& prog, const EvalContext& ctx,
                          VmState* state);
 Result<bool> VmEvaluatePredicate(const BytecodeProgram& prog,

@@ -102,7 +102,7 @@ Status CeprClient::Deploy(const std::string& name,
   w.U8(static_cast<uint8_t>(MsgType::kDeploy));
   w.Str(name);
   w.Str(query_text);
-  SaveQueryOptionsV1(&w, options);
+  SaveQueryOptions(&w, options);
   return Call(w.Take());
 }
 

@@ -24,7 +24,8 @@ namespace net {
 /// stream is unframeable and the session closes, while a *body*-level
 /// violation (unknown type, malformed fields) is answered with an error
 /// reply on an intact session.
-inline constexpr uint32_t kProtocolVersion = 1;
+/// v2: the kDeploy option block lost the four matcher ablation flags.
+inline constexpr uint32_t kProtocolVersion = 2;
 
 /// Frames larger than this are garbage (a bit-flipped length field), not
 /// messages; same bound as the WAL scanner.
@@ -46,7 +47,7 @@ enum class MsgType : uint8_t {
   kEvent = 3,
   /// [u32 binding][u32 n][n * event body] — batched ingest (PushAll).
   kEventBatch = 4,
-  /// [str name][str query_text][QueryOptionsV1 block] — hot deploy through
+  /// [str name][str query_text][QueryOptions block] — hot deploy through
   /// the template registry, no drain. The deploying session is subscribed
   /// to the query's ranked results.
   kDeploy = 5,

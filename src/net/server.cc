@@ -187,13 +187,14 @@ void CeprServer::Shutdown(bool final_checkpoint) {
   if (!started_) return;
   stopping_.store(true);
 
-  // Wake and join the accept loop first so no new sessions appear.
+  // Wake and join the accept loop first so no new sessions appear. The
+  // descriptor is closed only after the join: the loop still reads it.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   {
     std::lock_guard<std::mutex> lk(timer_mu_);

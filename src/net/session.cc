@@ -155,7 +155,7 @@ std::string Session::Dispatch(const std::string& payload) {
       std::string name;
       std::string text;
       QueryOptions qopts;
-      if (!r.Str(&name) || !r.Str(&text) || !LoadQueryOptionsV1(&r, &qopts) ||
+      if (!r.Str(&name) || !r.Str(&text) || !LoadQueryOptions(&r, &qopts) ||
           !r.AtEnd()) {
         break;
       }

@@ -45,8 +45,8 @@ struct CompiledQuery {
   std::vector<Value> template_params;
 
   /// Compiled bytecode for SELECT items (parallel to analyzed.ast.select)
-  /// and the RANK BY score, used by the matcher when bytecode_eval is on;
-  /// nullptr entries fall back to the AST evaluator. Predicate programs
+  /// and the RANK BY score, executed by the matcher; nullptr entries fall
+  /// back to the AST evaluator. Predicate programs
   /// live on the pattern's components (see plan/pattern.h).
   std::vector<BytecodeProgramPtr> select_progs;
   BytecodeProgramPtr score_prog;

@@ -51,9 +51,8 @@ struct CompiledComponent {
   /// conjuncts that must be evaluated against each run's bindings.
   std::vector<ExprPtr> begin_preds;
   std::vector<int> begin_pred_cache_ids;
-  /// Parallel to `begin_preds`: compiled bytecode for the matcher's fast
-  /// path when MatcherOptions::bytecode_eval is on (nullptr = AST fallback,
-  /// e.g. a tree too deep for the register file).
+  /// Parallel to `begin_preds`: compiled bytecode the matcher executes
+  /// (nullptr = AST fallback, e.g. a tree too deep for the register file).
   std::vector<BytecodeProgramPtr> begin_pred_progs;
 
   /// Kleene components: conjuncts containing a current-iteration reference

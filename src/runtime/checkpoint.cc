@@ -46,9 +46,9 @@ bool WriteAllFd(int fd, const char* data, size_t size) {
   return true;
 }
 
-// -- Option blocks (format v1) ---------------------------------------------
-// SaveQueryOptionsV1 / LoadQueryOptionsV1 live in runtime/serde.* now: the
-// WAL's deploy records and the network deploy message share the encoding.
+// -- Option blocks ----------------------------------------------------------
+// SaveQueryOptions / LoadQueryOptions live in runtime/serde.*: the WAL's
+// deploy records and the network deploy message share the encoding.
 
 bool ValidatePoliciesV1(BinReader* r, uint8_t late, uint8_t shed,
                         uint8_t fault) {
@@ -279,13 +279,11 @@ void Engine::SaveBody(BinWriter* w) const {
   // Engine options (scalars only; the fault injector is runtime wiring).
   w->I64(options_.max_lateness_micros);
   w->U8(static_cast<uint8_t>(options_.late_policy));
-  w->Bool(options_.reject_out_of_order);
   w->U64(static_cast<uint64_t>(options_.max_runs_per_partition));
   w->U64(static_cast<uint64_t>(options_.max_total_runs));
   w->U8(static_cast<uint8_t>(options_.shed_policy));
   w->U8(static_cast<uint8_t>(options_.fault_policy));
   w->Bool(options_.shared_eval);
-  w->Bool(options_.batch_ingest);
 
   // WAL cut: valid journal records at this snapshot. The journal is never
   // truncated at a checkpoint; Restore replays everything past the cut.
@@ -317,7 +315,7 @@ void Engine::SaveBody(BinWriter* w) const {
     const auto rit = registrations_.find(key);
     w->Str(query->name());
     w->Str(rit != registrations_.end() ? rit->second.text : std::string());
-    SaveQueryOptionsV1(w, rit != registrations_.end() ? rit->second.options
+    SaveQueryOptions(w, rit != registrations_.end() ? rit->second.options
                                                       : QueryOptions{});
     EventInterner interner(w);
     query->SaveState(&interner, w);
@@ -331,10 +329,9 @@ Status Engine::LoadBody(BinReader* r, const SinkResolver& resolve,
   EngineOptions opts = options_;
   uint8_t late = 0, shed = 0, fault = 0;
   uint64_t mrp = 0, mtr = 0;
-  if (!r->I64(&opts.max_lateness_micros) || !r->U8(&late) ||
-      !r->Bool(&opts.reject_out_of_order) || !r->U64(&mrp) || !r->U64(&mtr) ||
-      !r->U8(&shed) || !r->U8(&fault) || !r->Bool(&opts.shared_eval) ||
-      !r->Bool(&opts.batch_ingest) || !ValidatePoliciesV1(r, late, shed, fault)) {
+  if (!r->I64(&opts.max_lateness_micros) || !r->U8(&late) || !r->U64(&mrp) ||
+      !r->U64(&mtr) || !r->U8(&shed) || !r->U8(&fault) ||
+      !r->Bool(&opts.shared_eval) || !ValidatePoliciesV1(r, late, shed, fault)) {
     return r->ToStatus("snapshot: engine options");
   }
   opts.late_policy = static_cast<LatePolicy>(late);
@@ -377,7 +374,7 @@ Status Engine::LoadBody(BinReader* r, const SinkResolver& resolve,
   for (uint32_t i = 0; i < num_queries; ++i) {
     std::string name, text;
     QueryOptions qopts;
-    if (!r->Str(&name) || !r->Str(&text) || !LoadQueryOptionsV1(r, &qopts)) {
+    if (!r->Str(&name) || !r->Str(&text) || !LoadQueryOptions(r, &qopts)) {
       return r->ToStatus("snapshot: query registration " + std::to_string(i));
     }
     // Re-register from the original inputs (plan recompiled against the
@@ -452,7 +449,7 @@ Status Engine::ReplayWal(const std::string& wal_path, uint64_t skip,
       BinReader pr(rec.payload);
       std::string text;
       QueryOptions qopts;
-      if (!pr.Str(&text) || !LoadQueryOptionsV1(&pr, &qopts) || !pr.AtEnd()) {
+      if (!pr.Str(&text) || !LoadQueryOptions(&pr, &qopts) || !pr.AtEnd()) {
         failed = Status::Corrupt("wal replay: record " + std::to_string(i) +
                                  " holds a malformed deploy of query '" +
                                  rec.name + "'");
@@ -561,14 +558,12 @@ void ShardedEngine::SaveBody(BinWriter* w) const {
   w->U64(static_cast<uint64_t>(options_.queue_capacity));
   w->I64(options_.max_lateness_micros);
   w->U8(static_cast<uint8_t>(options_.late_policy));
-  w->Bool(options_.reject_out_of_order);
   w->I64(options_.enqueue_stall_budget_ms);
   w->U64(static_cast<uint64_t>(options_.max_runs_per_partition));
   w->U64(static_cast<uint64_t>(options_.max_total_runs));
   w->U8(static_cast<uint8_t>(options_.shed_policy));
   w->U8(static_cast<uint8_t>(options_.fault_policy));
   w->Bool(options_.shared_eval);
-  w->Bool(options_.batch_ingest);
 
   w->U64(wal_ != nullptr ? wal_->records() : 0);
 
@@ -595,7 +590,7 @@ void ShardedEngine::SaveBody(BinWriter* w) const {
   for (const auto& q : queries_) {
     w->Str(q->name);
     w->Str(q->text);
-    SaveQueryOptionsV1(w, q->options);
+    SaveQueryOptions(w, q->options);
     w->U64(q->ordinal.Load());
     w->I64(q->current_window);
     w->I64(q->merged_upto);
@@ -655,11 +650,9 @@ Status ShardedEngine::LoadBody(BinReader* r, const SinkResolver& resolve,
   uint8_t late = 0, shed = 0, fault = 0;
   if (!r->U64(&snap_shards) || !r->U64(&queue_cap) ||
       !r->I64(&opts.max_lateness_micros) || !r->U8(&late) ||
-      !r->Bool(&opts.reject_out_of_order) ||
       !r->I64(&opts.enqueue_stall_budget_ms) || !r->U64(&mrp) ||
       !r->U64(&mtr) || !r->U8(&shed) || !r->U8(&fault) ||
-      !r->Bool(&opts.shared_eval) || !r->Bool(&opts.batch_ingest) ||
-      !ValidatePoliciesV1(r, late, shed, fault)) {
+      !r->Bool(&opts.shared_eval) || !ValidatePoliciesV1(r, late, shed, fault)) {
     return r->ToStatus("snapshot: sharded engine options");
   }
   if (snap_shards != num_shards_) {
@@ -715,7 +708,7 @@ Status ShardedEngine::LoadBody(BinReader* r, const SinkResolver& resolve,
   for (uint32_t qi = 0; qi < num_queries; ++qi) {
     std::string name, text;
     QueryOptions qopts;
-    if (!r->Str(&name) || !r->Str(&text) || !LoadQueryOptionsV1(r, &qopts)) {
+    if (!r->Str(&name) || !r->Str(&text) || !LoadQueryOptions(r, &qopts)) {
       return r->ToStatus("snapshot: query registration " +
                          std::to_string(qi));
     }
@@ -848,7 +841,7 @@ Status ShardedEngine::ReplayWal(const std::string& wal_path, uint64_t skip,
       BinReader pr(rec.payload);
       std::string text;
       QueryOptions qopts;
-      if (!pr.Str(&text) || !LoadQueryOptionsV1(&pr, &qopts) || !pr.AtEnd()) {
+      if (!pr.Str(&text) || !LoadQueryOptions(&pr, &qopts) || !pr.AtEnd()) {
         failed = Status::Corrupt("wal replay: record " + std::to_string(i) +
                                  " holds a malformed deploy of query '" +
                                  rec.name + "'");

@@ -36,8 +36,12 @@ namespace ckpt {
 inline constexpr char kMagic[8] = {'C', 'E', 'P', 'R', 'C', 'K', 'P', 'T'};
 /// v2: MatcherStats gained the dag counters, matcher bodies gained the
 /// DAG-group section, ranker bodies gained enumeration counters + pending
-/// lazy sets (the shared-match-DAG feature). v1 snapshots are rejected.
-inline constexpr uint32_t kVersion = 2;
+/// lazy sets (the shared-match-DAG feature).
+/// v3: the engine option blocks lost the legacy out-of-order and batched-
+/// ingest switches, and every query option block lost the four matcher
+/// ablation flags (one matcher path per mechanism).
+/// Older snapshots are rejected.
+inline constexpr uint32_t kVersion = 3;
 
 enum class EngineKind : uint8_t { kSerial = 0, kSharded = 1 };
 

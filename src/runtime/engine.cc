@@ -13,17 +13,6 @@ namespace cepr {
 
 Engine::Engine(EngineOptions options) : options_(options) {}
 
-ReorderConfig Engine::DefaultReorderConfig() const {
-  ReorderConfig config;
-  config.max_lateness_micros = options_.max_lateness_micros;
-  config.late_policy =
-      options_.late_policy != LatePolicy::kReject
-          ? options_.late_policy
-          : (options_.reject_out_of_order ? LatePolicy::kReject
-                                          : LatePolicy::kClamp);
-  return config;
-}
-
 Status Engine::ExecuteDdl(std::string_view ddl_text) {
   CEPR_ASSIGN_OR_RETURN(CreateStreamAst ast, ParseCreateStream(ddl_text));
   CEPR_ASSIGN_OR_RETURN(SchemaPtr schema,
@@ -42,7 +31,8 @@ Status Engine::RegisterSchema(SchemaPtr schema) {
   // build it in place.
   const auto [it, inserted] = streams_.try_emplace(key);
   it->second.schema = std::move(schema);
-  it->second.reorder.set_config(DefaultReorderConfig());
+  it->second.reorder.set_config(
+      ReorderConfig{options_.max_lateness_micros, options_.late_policy});
   // Journal the registration so a crash before the next checkpoint does not
   // lose the stream (replay re-registers it before any of its events).
   if (wal_ != nullptr && !replaying_) {
@@ -132,13 +122,12 @@ Status Engine::RegisterQuery(std::string name, std::string_view query_text,
   // them so Restore can re-register the query under its own engine caps.
   registrations_.insert_or_assign(
       key, QueryRegistration{std::string(query_text), options});
-  RecomputeForwardTargets();
   // Journal the deploy (pre-merge options, like the snapshot) so a hot
   // deploy between checkpoints survives a crash at its stream position.
   if (wal_ != nullptr && !replaying_) {
     BinWriter blob;
     blob.Str(std::string(query_text));
-    SaveQueryOptionsV1(&blob, options);
+    SaveQueryOptions(&blob, options);
     CEPR_RETURN_IF_ERROR(
         wal_->AppendDeploy(queries_.find(key)->second->name(), blob.buffer()));
     ++durability_.wal_records_appended;
@@ -246,7 +235,6 @@ Status Engine::RemoveQuery(std::string_view name) {
   registrations_.erase(ToLower(name));
   queries_.erase(it);
   if (stream != nullptr) RebuildSharedStream(*stream);
-  RecomputeForwardTargets();
   if (wal_ != nullptr && !replaying_) {
     CEPR_RETURN_IF_ERROR(wal_->AppendUndeploy(std::string(name)));
     ++durability_.wal_records_appended;
@@ -285,8 +273,6 @@ MetricsSnapshot Engine::Snapshot() const {
     snap.reorder.Accumulate(state.reorder.stats());
     snap.sharing.predindex_probes += state.shared.index.probes();
     snap.sharing.predindex_candidates += state.shared.index.candidates();
-    snap.sharing.batch_scan_events += state.shared.index.batch_scan_events();
-    snap.sharing.bitmap_hits += state.shared.index.bitmap_hits();
     snap.sharing.shared_window_buffers += state.shared.window_groups.size();
   }
   snap.num_shards = 1;
@@ -362,20 +348,7 @@ Status Engine::Push(Event event) {
   return Route(*state, std::move(released));
 }
 
-bool Engine::RouteBatchable(const StreamState& state,
-                            size_t num_released) const {
-  // Batched screening needs the shared layer's probe, at least two events
-  // to amortize the column build, and a stream no query re-ingests into
-  // (forwarded events must interleave with the batch exactly as they would
-  // per event, so forward targets stay on the per-event path).
-  return options_.batch_ingest && num_released > 1 && shared_eval_active() &&
-         !state.forward_target;
-}
-
 Status Engine::Route(StreamState& state, std::vector<Event> released) {
-  if (RouteBatchable(state, released.size())) {
-    return RouteBatch(state, std::move(released));
-  }
   for (Event& event : released) {
     event.set_sequence(state.next_sequence++);
     ++events_ingested_;
@@ -416,48 +389,10 @@ Status Engine::RouteAll(StreamState& state, const EventPtr& event) {
   return Status::OK();
 }
 
-Status Engine::RouteBatch(StreamState& state, std::vector<Event> released) {
-  SharedStreamState& sh = state.shared;
-
-  // 1. One columnar screen for the whole release: cands[i] is exactly what
-  // the per-event Probe would return for released[i] (sequence numbers are
-  // not assigned yet, but probes never read them). The batch view borrows
-  // the events; it is fully consumed before the visit loop moves them out.
-  const EventBatch batch(released.data(), released.size(),
-                         state.schema->num_attributes());
-  std::vector<std::vector<uint32_t>> cands;
-  cands.swap(sh.batch_cand_scratch);
-  sh.index.ProbeBatch(batch, &cands);
-
-  // 2. The per-event visit loop, unchanged from the scalar path: sequence
-  // assignment, ingest accounting and delivery interleaving are identical.
-  Status failed = Status::OK();
-  for (size_t i = 0; i < released.size(); ++i) {
-    Event& event = released[i];
-    event.set_sequence(state.next_sequence++);
-    ++events_ingested_;
-
-    if (push_depth_ >= kMaxPushDepth) {
-      failed = Status::InvalidArgument(
-          "derived-stream recursion exceeds depth " +
-          std::to_string(kMaxPushDepth) + " (query composition cycle?)");
-      break;
-    }
-    ++push_depth_;
-    const auto shared = std::make_shared<const Event>(std::move(event));
-    const Status s = VisitShared(state, shared, cands[i]);
-    --push_depth_;
-    if (!s.ok()) {
-      failed = s;
-      break;
-    }
-  }
-  cands.swap(sh.batch_cand_scratch);
-  return failed;
-}
-
 Status Engine::RouteShared(StreamState& state, const EventPtr& event) {
   SharedStreamState& sh = state.shared;
+  const uint64_t seq = event->sequence();
+  const Timestamp ts = event->timestamp();
 
   // Scratch is swapped out for the duration of the call: a query's EMIT
   // INTO forwarding can re-enter Route (even for this stream, through a
@@ -465,24 +400,12 @@ Status Engine::RouteShared(StreamState& state, const EventPtr& event) {
   std::vector<uint32_t> cand;
   cand.swap(sh.cand_scratch);
   cand.clear();
-
-  // 1. Which queries can this event begin a run for?
-  sh.index.Probe(*event, &cand);
-
-  const Status s = VisitShared(state, event, cand);
-  cand.swap(sh.cand_scratch);
-  return s;
-}
-
-Status Engine::VisitShared(StreamState& state, const EventPtr& event,
-                           const std::vector<uint32_t>& cand) {
-  SharedStreamState& sh = state.shared;
-  const uint64_t seq = event->sequence();
-  const Timestamp ts = event->timestamp();
-
   std::vector<uint32_t> due;
   due.swap(sh.due_scratch);
   due.clear();
+
+  // 1. Which queries can this event begin a run for?
+  sh.index.Probe(*event, &cand);
 
   // 2. Which skipped queries have a buffered report window closing here?
   // One boundary check per window scheme, not per query.
@@ -559,6 +482,7 @@ Status Engine::VisitShared(StreamState& state, const EventPtr& event,
     }
   }
 
+  cand.swap(sh.cand_scratch);
   due.swap(sh.due_scratch);
   return failed;
 }
@@ -581,44 +505,8 @@ Status Engine::Flush() {
 }
 
 Status Engine::PushAll(std::vector<Event> events) {
-  // Maximal same-stream runs are screened in one columnar batch each
-  // (RouteBatch); the boundaries — a stream change, an offer error, a
-  // forward-target stream — flush the accumulated release so cross-stream
-  // ordering and error positions stay exactly those of per-event Push.
-  StreamState* current = nullptr;
-  std::vector<Event> pending;
-  const auto flush = [&]() -> Status {
-    if (current == nullptr || pending.empty()) return Status::OK();
-    StreamState& state = *current;
-    std::vector<Event> batch;
-    batch.swap(pending);
-    return Route(state, std::move(batch));
-  };
-
   for (size_t i = 0; i < events.size(); ++i) {
-    std::vector<Event> released;
-    auto offered = OfferEvent(std::move(events[i]), &released);
-    Status s = offered.ok() ? Status::OK() : offered.status();
-    if (s.ok()) {
-      StreamState* state = offered.value();
-      if (state != current) {
-        CEPR_RETURN_IF_ERROR(flush());
-        current = state;
-      }
-      if (!released.empty() && !RouteBatchable(*state, /*num_released=*/2)) {
-        // Per-event streams (forward targets, batching off): route now,
-        // keeping release order against any accumulated batch.
-        CEPR_RETURN_IF_ERROR(flush());
-        s = Route(*state, std::move(released));
-      } else {
-        for (Event& e : released) pending.push_back(std::move(e));
-      }
-    } else {
-      // Offer-time failures (validation, late rejection) happen before any
-      // routing; the accumulated release still precedes them in stream
-      // order, so flush first.
-      CEPR_RETURN_IF_ERROR(flush());
-    }
+    const Status s = Push(std::move(events[i]));
     if (s.ok()) continue;
     if (options_.fault_policy == FaultPolicy::kSkipAndCount) {
       ++events_quarantined_;
@@ -629,17 +517,7 @@ Status Engine::PushAll(std::vector<Event> events) {
                                 " failed (prefix [0, " + std::to_string(i) +
                                 ") already ingested): " + s.message());
   }
-  return flush();
-}
-
-void Engine::RecomputeForwardTargets() {
-  for (auto& [key, state] : streams_) state.forward_target = false;
-  for (const auto& [key, query] : queries_) {
-    const std::string& target = query->plan()->into_stream;
-    if (target.empty()) continue;
-    const auto it = streams_.find(ToLower(target));
-    if (it != streams_.end()) it->second.forward_target = true;
-  }
+  return Status::OK();
 }
 
 void Engine::Finish() {

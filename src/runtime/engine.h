@@ -27,14 +27,10 @@ struct EngineOptions {
   /// place by the per-stream reorder buffer (see runtime/reorder.h).
   /// 0 = strict in-order ingest, today's default.
   Timestamp max_lateness_micros = 0;
-  /// Fate of events that miss the lateness bound. kClamp reproduces the
-  /// legacy `reject_out_of_order = false` timestamp-rewriting behavior
-  /// explicitly; kReject and kDropAndCount never mutate event time.
+  /// Fate of events that miss the lateness bound. kReject and
+  /// kDropAndCount never mutate event time; kClamp rewrites it to the
+  /// watermark.
   LatePolicy late_policy = LatePolicy::kReject;
-  /// Legacy switch, kept for compatibility: when false and `late_policy`
-  /// is left at its kReject default, late events are clamped (the
-  /// pre-reorder behavior). Prefer setting `late_policy` directly.
-  bool reject_out_of_order = true;
 
   // -- Overload protection ---------------------------------------------------
   // Engine-wide caps overlaying each query's own MatcherOptions (see
@@ -70,15 +66,6 @@ struct EngineOptions {
   /// query has a fault injector armed, so injected fault schedules fire at
   /// the exact event positions the per-query path would produce.
   bool shared_eval = true;
-
-  /// Screen multi-event ingests (PushAll, reorder-buffer release bursts)
-  /// through one columnar PredicateIndex::ProbeBatch per stream run instead
-  /// of a per-event probe. Routing, sequencing and delivery order are
-  /// unchanged — per-query output is bit-identical either way — so this is
-  /// purely the vectorized-screening ablation knob. Streams that are EMIT
-  /// INTO targets always take the per-event path (re-ingestion may land
-  /// mid-batch and must interleave exactly as it would per event).
-  bool batch_ingest = true;
 };
 
 /// The CEPR system facade: stream registry, query registry, and the ingest
@@ -154,8 +141,8 @@ class Engine {
   /// that need the buffered tail visible without ending the stream.
   Status Flush();
 
-  /// Ingests a batch in order. On failure the Status names the failing
-  /// index and the already-ingested prefix; under
+  /// Ingests a batch in order, one Push per event. On failure the Status
+  /// names the failing index and the already-ingested prefix; under
   /// FaultPolicy::kSkipAndCount failing events are skipped (counted in
   /// events_quarantined) and the rest of the batch proceeds.
   Status PushAll(std::vector<Event> events);
@@ -247,18 +234,11 @@ class Engine {
     /// nested derived-stream routing cannot clobber it).
     std::vector<uint32_t> cand_scratch;
     std::vector<uint32_t> due_scratch;
-    /// Reusable batched-probe scratch: per-row candidate lists (swapped out
-    /// during RouteBatch for the same re-entrancy reason).
-    std::vector<std::vector<uint32_t>> batch_cand_scratch;
   };
 
   struct StreamState {
     SchemaPtr schema;
     uint64_t next_sequence = 0;
-    /// True while some registered query EMIT INTOs this stream: batched
-    /// routing is disabled so re-ingested events interleave exactly as in
-    /// the per-event path. Maintained by RecomputeForwardTargets.
-    bool forward_target = false;
     /// Bounded out-of-order ingest buffer; owns the stream's watermark.
     /// Non-movable (single-writer atomic counters), so streams_ entries
     /// are built in place with try_emplace.
@@ -269,10 +249,6 @@ class Engine {
   /// Builds the re-ingestion callback for an EMIT INTO query, creating or
   /// validating the derived stream's schema.
   Result<RunningQuery::ForwardFn> MakeForwarder(const CompiledQueryPtr& plan);
-
-  /// The per-stream ReorderConfig implied by EngineOptions (legacy
-  /// `reject_out_of_order = false` maps to LatePolicy::kClamp).
-  ReorderConfig DefaultReorderConfig() const;
 
   /// Validates `event` against the stream registry and offers it to the
   /// stream's reorder buffer, appending whatever the buffer releases.
@@ -290,18 +266,6 @@ class Engine {
   /// and window-due queries (in name order — same delivery interleaving as
   /// RouteAll).
   Status RouteShared(StreamState& state, const EventPtr& event);
-  /// The visit half of RouteShared, with the candidate slots already
-  /// computed (per-event Probe or one batched ProbeBatch row).
-  Status VisitShared(StreamState& state, const EventPtr& event,
-                     const std::vector<uint32_t>& cand);
-  /// Batched shared path: one columnar ProbeBatch over the whole release,
-  /// then the per-event visit loop with precomputed candidates. Only
-  /// reached when RouteBatchable(state) held.
-  Status RouteBatch(StreamState& state, std::vector<Event> released);
-  bool RouteBatchable(const StreamState& state, size_t num_released) const;
-  /// Recomputes every stream's forward_target flag from the live queries'
-  /// EMIT INTO targets (query add/remove).
-  void RecomputeForwardTargets();
   /// Re-slots a stream's queries (name order), rebuilds its predicate
   /// index, hot set and window groups. Called on query add/remove.
   void RebuildSharedStream(StreamState& state);

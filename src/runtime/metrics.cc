@@ -122,8 +122,6 @@ std::string SharingStats::ToString() const {
   out += " live_templates=" + std::to_string(live_templates);
   out += " predindex_probes=" + std::to_string(predindex_probes);
   out += " predindex_candidates=" + std::to_string(predindex_candidates);
-  out += " batch_scan_events=" + std::to_string(batch_scan_events);
-  out += " bitmap_hits=" + std::to_string(bitmap_hits);
   out += " bytecode_compiled_preds=" + std::to_string(bytecode_compiled_preds);
   out += " shared_window_buffers=" + std::to_string(shared_window_buffers);
   return out;
@@ -136,8 +134,6 @@ std::string SharingStats::ToJson() const {
   out += ",\"live_templates\":" + std::to_string(live_templates);
   out += ",\"predindex_probes\":" + std::to_string(predindex_probes);
   out += ",\"predindex_candidates\":" + std::to_string(predindex_candidates);
-  out += ",\"batch_scan_events\":" + std::to_string(batch_scan_events);
-  out += ",\"bitmap_hits\":" + std::to_string(bitmap_hits);
   out += ",\"bytecode_compiled_preds\":" +
          std::to_string(bytecode_compiled_preds);
   out += ",\"shared_window_buffers\":" + std::to_string(shared_window_buffers);

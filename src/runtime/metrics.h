@@ -94,12 +94,6 @@ struct SharingStats {
   /// count to see what the index saves.
   uint64_t predindex_probes = 0;
   uint64_t predindex_candidates = 0;
-  /// Events screened through the vectorized batch probe (a subset of
-  /// predindex_probes; zero when batch_ingest is off or ingest never
-  /// released multi-event runs) and the candidate (event, query) pairs
-  /// those batch scans marked in their bitmaps.
-  uint64_t batch_scan_events = 0;
-  uint64_t bitmap_hits = 0;
   /// Entry/matcher predicates the compiler lowered to flat bytecode across
   /// all registered queries (the VM hot path; docs/ARCHITECTURE.md).
   uint64_t bytecode_compiled_preds = 0;

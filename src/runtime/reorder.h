@@ -23,9 +23,8 @@ enum class LatePolicy : uint8_t {
   /// events that made the bound.
   kDropAndCount,
   /// The event's timestamp is rewritten to the watermark and it is
-  /// admitted. This is the pre-reorder engine's implicit behavior for
-  /// `reject_out_of_order = false` and for EMIT INTO derived streams, kept
-  /// as an explicit opt-in: it corrupts event time, so WITHIN windows and
+  /// admitted. EMIT INTO derived streams always use it; elsewhere it is an
+  /// explicit opt-in: it corrupts event time, so WITHIN windows and
   /// time-dependent scores see the clamped value (events_clamped counts).
   kClamp,
 };

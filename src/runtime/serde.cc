@@ -213,25 +213,19 @@ Result<SchemaPtr> LoadSchema(BinReader* r) {
   return Schema::Make(std::move(name), std::move(attrs));
 }
 
-void SaveQueryOptionsV1(BinWriter* w, const QueryOptions& o) {
+void SaveQueryOptions(BinWriter* w, const QueryOptions& o) {
   w->U8(static_cast<uint8_t>(o.ranker));
   w->U64(static_cast<uint64_t>(o.matcher.max_active_runs));
   w->U64(static_cast<uint64_t>(o.matcher.max_total_runs));
   w->U8(static_cast<uint8_t>(o.matcher.shed_policy));
   w->U8(static_cast<uint8_t>(o.matcher.fault_policy));
-  w->Bool(o.matcher.cow_bindings);
-  w->Bool(o.matcher.use_arena);
-  w->Bool(o.matcher.predicate_cache);
-  w->Bool(o.matcher.bytecode_eval);
 }
 
-bool LoadQueryOptionsV1(BinReader* r, QueryOptions* o) {
+bool LoadQueryOptions(BinReader* r, QueryOptions* o) {
   uint8_t ranker = 0, shed = 0, fault = 0;
   uint64_t max_active = 0, max_total = 0;
   if (!r->U8(&ranker) || !r->U64(&max_active) || !r->U64(&max_total) ||
-      !r->U8(&shed) || !r->U8(&fault) || !r->Bool(&o->matcher.cow_bindings) ||
-      !r->Bool(&o->matcher.use_arena) || !r->Bool(&o->matcher.predicate_cache) ||
-      !r->Bool(&o->matcher.bytecode_eval)) {
+      !r->U8(&shed) || !r->U8(&fault)) {
     return false;
   }
   if (ranker > static_cast<uint8_t>(RankerPolicy::kPruned) ||

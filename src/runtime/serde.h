@@ -72,15 +72,17 @@ class EventUninterner {
 void SaveMatch(EventInterner* in, BinWriter* w, const Match& m);
 bool LoadMatch(EventUninterner* in, BinReader* r, Match* out);
 
-/// Per-query option block (format v1), shared by snapshot query
-/// registrations, WAL deploy records and the network deploy message. Fault
-/// injectors are runtime pointers and are never serialized: the restoring
-/// engine's constructed options supply them (MergeEngineCaps runs again at
+/// Per-query option block, shared by snapshot query registrations, WAL
+/// deploy records and the network deploy message. Fault injectors are
+/// runtime pointers and are never serialized: the restoring engine's
+/// constructed options supply them (MergeEngineCaps runs again at
 /// re-registration). Load validates every enum and marks the reader failed
-/// on an out-of-range value.
+/// on an out-of-range value. A layout change bumps ckpt::kVersion and
+/// kProtocolVersion; WAL records carry no version, so a deploy record in an
+/// older layout fails replay as kCorrupt.
 struct QueryOptions;
-void SaveQueryOptionsV1(BinWriter* w, const QueryOptions& o);
-bool LoadQueryOptionsV1(BinReader* r, QueryOptions* o);
+void SaveQueryOptions(BinWriter* w, const QueryOptions& o);
+bool LoadQueryOptions(BinReader* r, QueryOptions* o);
 
 }  // namespace cepr
 

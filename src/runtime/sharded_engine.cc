@@ -59,7 +59,8 @@ Status ShardedEngine::RegisterSchema(SchemaPtr schema) {
   // build it in place.
   const auto [it, inserted] = streams_.try_emplace(key);
   it->second.schema = std::move(schema);
-  it->second.reorder.set_config(DefaultReorderConfig());
+  it->second.reorder.set_config(
+      ReorderConfig{options_.max_lateness_micros, options_.late_policy});
   // Journal the registration so a crash before the next checkpoint does not
   // lose the stream (replay re-registers it before any of its events).
   if (wal_ != nullptr && !replaying_) {
@@ -69,17 +70,6 @@ Status ShardedEngine::RegisterSchema(SchemaPtr schema) {
     wal_appended_.Increment();
   }
   return Status::OK();
-}
-
-ReorderConfig ShardedEngine::DefaultReorderConfig() const {
-  ReorderConfig config;
-  config.max_lateness_micros = options_.max_lateness_micros;
-  config.late_policy =
-      options_.late_policy != LatePolicy::kReject
-          ? options_.late_policy
-          : (options_.reject_out_of_order ? LatePolicy::kReject
-                                          : LatePolicy::kClamp);
-  return config;
 }
 
 Status ShardedEngine::ConfigureStreamIngest(std::string_view stream_name,
@@ -166,7 +156,7 @@ Status ShardedEngine::RegisterQuery(std::string name,
   if (wal_ != nullptr && !replaying_) {
     BinWriter blob;
     blob.Str(std::string(query_text));
-    SaveQueryOptionsV1(&blob, options);
+    SaveQueryOptions(&blob, options);
     CEPR_RETURN_IF_ERROR(
         wal_->AppendDeploy(queries_.back()->name, blob.buffer()));
     wal_appended_.Increment();
@@ -515,43 +505,10 @@ Status ShardedEngine::Push(Event event) {
   std::vector<Event> released;
   CEPR_ASSIGN_OR_RETURN(StreamState * state,
                         OfferEvent(std::move(event), &released));
-  if (RouteBatchable(*state, released.size())) {
-    return RouteReleasedBatch(*state, std::move(released));
-  }
   for (Event& e : released) {
     CEPR_RETURN_IF_ERROR(RouteReleased(*state, std::move(e)));
   }
   return Status::OK();
-}
-
-bool ShardedEngine::RouteBatchable(const StreamState& state,
-                                   size_t num_released) const {
-  // A batch probe only pays off past one event, and only computes anything
-  // while the shared layer's index is actually consulted. (EMIT INTO is
-  // rejected at registration, so unlike the serial engine there is no
-  // re-ingestion interleaving concern.)
-  return options_.batch_ingest && num_released > 1 && shared_eval_active() &&
-         state.index.num_queries() > 0;
-}
-
-Status ShardedEngine::RouteReleasedBatch(StreamState& state,
-                                         std::vector<Event> released) {
-  // One probe over the whole batch (tight column scans into per-row
-  // bitmaps; see PredicateIndex::ProbeBatch). Probes never read sequence
-  // numbers, so screening before stamping is equivalence-safe.
-  EventBatch batch(released.data(), released.size(),
-                   state.schema->num_attributes());
-  std::vector<std::vector<uint32_t>> cands;
-  std::swap(cands, state.batch_cand_scratch);
-  state.index.ProbeBatch(batch, &cands);
-  Status status;
-  for (size_t i = 0; i < released.size(); ++i) {
-    status = RouteStamped(state, std::move(released[i]), /*use_index=*/true,
-                          cands[i]);
-    if (!status.ok()) break;
-  }
-  std::swap(cands, state.batch_cand_scratch);
-  return status;
 }
 
 Status ShardedEngine::RouteReleased(StreamState& state, Event event) {
@@ -563,12 +520,7 @@ Status ShardedEngine::RouteReleased(StreamState& state, Event event) {
   std::vector<uint32_t>& cand = state.cand_scratch;
   cand.clear();
   if (use_index) state.index.Probe(event, &cand);
-  return RouteStamped(state, std::move(event), use_index, cand);
-}
 
-Status ShardedEngine::RouteStamped(StreamState& state, Event event,
-                                   bool use_index,
-                                   const std::vector<uint32_t>& cand) {
   event.set_sequence(state.next_sequence++);
   events_ingested_.Increment();
 
@@ -617,53 +569,23 @@ Status ShardedEngine::RouteStamped(StreamState& state, Event event,
 }
 
 Status ShardedEngine::PushAll(std::vector<Event> events) {
-  // Accumulate maximal same-stream runs of reorder-released events so each
-  // run is screened with one batched probe. Ordering is preserved exactly:
-  // a run is flushed before any event of another stream (or any error)
-  // proceeds, so shards observe the same release order as per-event Push.
-  StreamState* current = nullptr;
-  std::vector<Event> pending;
-  const auto flush = [&]() -> Status {
-    if (current == nullptr || pending.empty()) return Status::OK();
-    StreamState* state = current;
-    std::vector<Event> run;
-    run.swap(pending);
-    if (RouteBatchable(*state, run.size())) {
-      return RouteReleasedBatch(*state, std::move(run));
-    }
-    for (Event& e : run) {
-      CEPR_RETURN_IF_ERROR(RouteReleased(*state, std::move(e)));
-    }
-    return Status::OK();
-  };
   for (size_t i = 0; i < events.size(); ++i) {
-    std::vector<Event> released;
-    auto offered = OfferEvent(std::move(events[i]), &released);
-    if (!offered.ok()) {
-      // Route what came before the failing event first, so the "prefix
-      // already ingested" contract below stays truthful.
-      CEPR_RETURN_IF_ERROR(flush());
-      const Status& s = offered.status();
-      if (options_.fault_policy == FaultPolicy::kSkipAndCount &&
-          s.code() != StatusCode::kUnavailable) {
-        // Contained per-event failure: count it and keep the batch flowing.
-        // A tripped stall budget (kUnavailable) is an engine-level outage,
-        // not a poison event — it always surfaces.
-        events_quarantined_.Increment();
-        continue;
-      }
-      return Status(s.code(), "PushAll: event at index " + std::to_string(i) +
-                                  " of " + std::to_string(events.size()) +
-                                  " failed (prefix [0, " + std::to_string(i) +
-                                  ") already ingested): " + s.message());
+    const Status s = Push(std::move(events[i]));
+    if (s.ok()) continue;
+    if (options_.fault_policy == FaultPolicy::kSkipAndCount &&
+        s.code() != StatusCode::kUnavailable) {
+      // Contained per-event failure: count it and keep the batch flowing.
+      // A tripped stall budget (kUnavailable) is an engine-level outage,
+      // not a poison event — it always surfaces.
+      events_quarantined_.Increment();
+      continue;
     }
-    if (offered.value() != current) {
-      CEPR_RETURN_IF_ERROR(flush());
-      current = offered.value();
-    }
-    for (Event& e : released) pending.push_back(std::move(e));
+    return Status(s.code(), "PushAll: event at index " + std::to_string(i) +
+                                " of " + std::to_string(events.size()) +
+                                " failed (prefix [0, " + std::to_string(i) +
+                                ") already ingested): " + s.message());
   }
-  return flush();
+  return Status::OK();
 }
 
 void ShardedEngine::DrainReady(QueryState* q, uint32_t query_index,
@@ -734,10 +656,6 @@ Status ShardedEngine::Flush() {
     if (state.reorder.resident() == 0) continue;
     std::vector<Event> released;
     state.reorder.Flush(&released);
-    if (RouteBatchable(state, released.size())) {
-      CEPR_RETURN_IF_ERROR(RouteReleasedBatch(state, std::move(released)));
-      continue;
-    }
     for (Event& e : released) {
       CEPR_RETURN_IF_ERROR(RouteReleased(state, std::move(e)));
     }
@@ -859,8 +777,6 @@ MetricsSnapshot ShardedEngine::Snapshot() const {
   for (const auto& [key, state] : streams_) {
     snap.sharing.predindex_probes += state.index.probes();
     snap.sharing.predindex_candidates += state.index.candidates();
-    snap.sharing.batch_scan_events += state.index.batch_scan_events();
-    snap.sharing.bitmap_hits += state.index.bitmap_hits();
   }
   for (const auto& q : queries_) {
     snap.sharing.bytecode_compiled_preds +=

@@ -41,8 +41,6 @@ struct ShardedEngineOptions {
   /// released order, so serial/sharded equivalence holds under disorder.
   Timestamp max_lateness_micros = 0;
   LatePolicy late_policy = LatePolicy::kReject;
-  /// Same semantics as EngineOptions::reject_out_of_order.
-  bool reject_out_of_order = true;
   /// Longest one enqueue may wait on a full shard ring before giving up:
   /// past the budget the shard is presumed dead/wedged and Push fails with
   /// kUnavailable naming it (counted in ShardStats::stalls_tripped).
@@ -72,15 +70,6 @@ struct ShardedEngineOptions {
   /// ordinal and barrier bookkeeping is per query — so ingest-side cost
   /// stays O(queries) per event; the saving is shard-side matcher work.
   bool shared_eval = true;
-
-  /// Columnar ingest screening (the vectorized-probe ablation knob): when a
-  /// reorder release or a PushAll run yields more than one event for the
-  /// same stream, the router probes the entry-predicate index once over the
-  /// whole batch (tight column scans into per-row candidate bitmaps) instead
-  /// of per event. Routing, ordinals, barriers and shard enqueues stay per
-  /// event, so ranked output is bit-identical either way. Only engages while
-  /// shared_eval is active (the probe verdicts are what the batch computes).
-  bool batch_ingest = true;
 };
 
 /// Parallel counterpart of Engine: PARTITION BY keys are hashed across N
@@ -143,9 +132,10 @@ class ShardedEngine {
   /// wedged), and surfaces the first shard-side fault under
   /// FaultPolicy::kFailFast (see first_fault()).
   Status Push(Event event);
-  /// Batch Push with the same partial-failure semantics as
+  /// One Push per event, with the same partial-failure semantics as
   /// Engine::PushAll: the Status names the failing index; under
-  /// FaultPolicy::kSkipAndCount failing events are skipped and counted.
+  /// FaultPolicy::kSkipAndCount failing events are skipped and counted,
+  /// except a tripped stall budget (kUnavailable), which always surfaces.
   Status PushAll(std::vector<Event> events);
 
   /// Drains every stream's reorder buffer to the shards in release order
@@ -306,9 +296,6 @@ class ShardedEngine {
     /// Probed once per released event on the ingest thread.
     PredicateIndex index;
     std::vector<uint32_t> cand_scratch;  // ingest-thread probe scratch
-    /// Batched-probe scratch (one candidate list per batch row), reused
-    /// across RouteReleasedBatch calls; ingest thread only.
-    std::vector<std::vector<uint32_t>> batch_cand_scratch;
   };
 
   struct QueryState {
@@ -361,9 +348,6 @@ class ShardedEngine {
   /// before the first Push or after Finish (joined threads happen-before).
   Status Quiesce();
   void ShardMain(size_t shard_index);
-  /// The per-stream ReorderConfig implied by ShardedEngineOptions (legacy
-  /// `reject_out_of_order = false` maps to LatePolicy::kClamp).
-  ReorderConfig DefaultReorderConfig() const;
   /// Validation + reorder-buffer Offer shared by Push and PushAll: returns
   /// the owning stream with `released` filled in release order (empty for a
   /// buffered or late-dropped event), or the error Push would return.
@@ -372,16 +356,6 @@ class ShardedEngine {
   /// and routes it: per-query ordinal, window barriers, shard enqueue,
   /// opportunistic merge drain (ingest thread).
   Status RouteReleased(StreamState& state, Event event);
-  /// RouteReleased with the predicate-index verdict already computed (the
-  /// batched path probes once per batch, then routes row by row).
-  Status RouteStamped(StreamState& state, Event event, bool use_index,
-                      const std::vector<uint32_t>& cand);
-  /// True when `num_released` same-stream events should go through one
-  /// ProbeBatch instead of per-event probes.
-  bool RouteBatchable(const StreamState& state, size_t num_released) const;
-  /// One batched probe over `released`, then per-event routing. Bit-identical
-  /// to RouteReleased in a loop (tested property).
-  Status RouteReleasedBatch(StreamState& state, std::vector<Event> released);
   /// Blocking enqueue with backpressure accounting and consumer nudge.
   /// Fails with kUnavailable once the stall budget is spent on a full ring.
   Status Enqueue(Shard* shard, Message msg);

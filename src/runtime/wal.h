@@ -23,7 +23,7 @@ namespace cepr {
 /// a query deployed on a live server between two checkpoints survives a
 /// crash: replay re-registers it at exactly the stream position it joined.
 /// Registration payloads are opaque serde blobs encoded by the engine
-/// (SaveSchema; query text + SaveQueryOptionsV1) — the WAL layer frames
+/// (SaveSchema; query text + SaveQueryOptions) — the WAL layer frames
 /// them without understanding them.
 struct WalRecord {
   enum class Kind : uint8_t {

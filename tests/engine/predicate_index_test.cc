@@ -183,68 +183,6 @@ TEST(PredicateIndexTest, ClearPreservesCounters) {
   EXPECT_EQ(index.candidates(), 1u);
 }
 
-TEST(PredicateIndexTest, ProbeBatchMatchesPerEventProbe) {
-  PredicateIndex index;
-  const auto gt = AnchoredQuery("a.price > 100");
-  const auto ge = AnchoredQuery("a.price >= 100");
-  const auto lt = AnchoredQuery("a.price < 100");
-  const auto le = AnchoredQuery("a.price <= 100");
-  const auto eq = AnchoredQuery("a.symbol = 'S1'");
-  const auto vol = AnchoredQuery("a.volume = 42");
-  const auto res = AnchoredQuery("a.price * 2 > a.volume");
-  const auto always = MustCompile(
-      "SELECT a.symbol FROM Stock MATCH PATTERN SEQ(a, b) "
-      "WHERE b.price > a.price WITHIN 10 MILLISECONDS "
-      "RANK BY b.price DESC LIMIT 5 EMIT ON WINDOW CLOSE");
-  index.AddQuery(0, gt.get());
-  index.AddQuery(1, ge.get());
-  index.AddQuery(2, lt.get());
-  index.AddQuery(3, le.get());
-  index.AddQuery(5, eq.get());
-  index.AddQuery(8, vol.get());
-  index.AddQuery(11, res.get());
-  index.AddQuery(12, always.get());
-
-  // Mixed rows: both sides of every threshold, the exact threshold, eq
-  // hits/misses, residual pass/fail — per-row batch output must equal the
-  // scalar probe bit for bit (same ids, same ascending order).
-  const std::vector<Event> events = {
-      Tick(0, 150, 42, "S1"), Tick(1, 100, 42, "S2"), Tick(2, 50, 100, "S1"),
-      Tick(3, 99.5, 7, "S3"), Tick(4, 100.5, 300, "S1"), Tick(5, 3, 5, "S2"),
-      Tick(6, 1000, 10000, "S1")};
-  EventBatch batch(events.data(), events.size(),
-                   StockSchema()->num_attributes());
-  std::vector<std::vector<uint32_t>> got;
-  index.ProbeBatch(batch, &got);
-  ASSERT_EQ(got.size(), events.size());
-  for (size_t row = 0; row < events.size(); ++row) {
-    EXPECT_EQ(got[row], ProbeIds(index, events[row])) << "row " << row;
-  }
-}
-
-TEST(PredicateIndexTest, ProbeBatchCounters) {
-  PredicateIndex index;
-  const auto q1 = AnchoredQuery("a.price > 10");
-  const auto q2 = AnchoredQuery("a.volume = 100");
-  index.AddQuery(1, q1.get());
-  index.AddQuery(2, q2.get());
-  const std::vector<Event> events = {Tick(0, 50, 100),  // both candidates
-                                     Tick(1, 5, 1),     // neither
-                                     Tick(2, 50, 1)};   // q1 only
-  EventBatch batch(events.data(), events.size(),
-                   StockSchema()->num_attributes());
-  std::vector<std::vector<uint32_t>> got;
-  index.ProbeBatch(batch, &got);
-  EXPECT_EQ(index.probes(), 3u);
-  EXPECT_EQ(index.candidates(), 3u);
-  EXPECT_EQ(index.batch_scan_events(), 3u);
-  EXPECT_EQ(index.bitmap_hits(), 3u);
-  // Scalar probes advance the shared counters but not the batch ones.
-  ProbeIds(index, Tick(3, 50, 100));
-  EXPECT_EQ(index.probes(), 4u);
-  EXPECT_EQ(index.batch_scan_events(), 3u);
-}
-
 TEST(PredicateIndexTest, CountersTrackProbes) {
   PredicateIndex index;
   const auto q1 = AnchoredQuery("a.price > 10");

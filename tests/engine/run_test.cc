@@ -175,43 +175,38 @@ TEST(BindingListTest, SharedForkKeepsPrefixAliveAfterClear) {
   EXPECT_EQ(events[2]->timestamp(), 3000);
 }
 
-TEST(RunTest, DeepCopyModeMatchesCowObservationally) {
+TEST(RunTest, CloneSharesBoundPrefix) {
   auto plan = AbcPlan();
-  BindingArena cow_arena;
-  BindingArena deep_arena;
-  for (bool cow : {true, false}) {
-    BindingArena* arena = cow ? &cow_arena : &deep_arena;
-    ::cepr::Run run(plan.get(), 0, arena, cow);
-    run.BeginComponent(0, Ev(0, 100));
-    run.BeginComponent(1, Ev(1000, 50));
-    run.ExtendKleene(Ev(2000, 40));
+  BindingArena arena;
+  ::cepr::Run run(plan.get(), 0, &arena);
+  run.BeginComponent(0, Ev(0, 100));
+  run.BeginComponent(1, Ev(1000, 50));
+  run.ExtendKleene(Ev(2000, 40));
 
-    auto clone = run.Clone(1);
-    clone->ExtendKleene(Ev(3000, 30));
-    EXPECT_EQ(run.KleeneCount(1), 2) << "cow=" << cow;
-    EXPECT_EQ(clone->KleeneCount(1), 3) << "cow=" << cow;
-    EXPECT_EQ(clone->AggValue(0), 30.0) << "cow=" << cow;
-    const auto original = run.MaterializeBindings();
-    const auto forked = clone->MaterializeBindings();
-    ASSERT_EQ(original.size(), forked.size());
-    for (size_t v = 0; v < original.size(); ++v) {
-      // The fork's bindings start with exactly the original's events.
-      ASSERT_GE(forked[v].size(), original[v].size());
-      for (size_t i = 0; i < original[v].size(); ++i) {
-        EXPECT_EQ(forked[v][i].get(), original[v][i].get());
-      }
+  auto clone = run.Clone(1);
+  clone->ExtendKleene(Ev(3000, 30));
+  EXPECT_EQ(run.KleeneCount(1), 2);
+  EXPECT_EQ(clone->KleeneCount(1), 3);
+  EXPECT_EQ(clone->AggValue(0), 30.0);
+  const auto original = run.MaterializeBindings();
+  const auto forked = clone->MaterializeBindings();
+  ASSERT_EQ(original.size(), forked.size());
+  for (size_t v = 0; v < original.size(); ++v) {
+    // The fork's bindings start with exactly the original's events.
+    ASSERT_GE(forked[v].size(), original[v].size());
+    for (size_t i = 0; i < original[v].size(); ++i) {
+      EXPECT_EQ(forked[v][i].get(), original[v][i].get());
     }
-    EXPECT_EQ(clone->LastBoundEvent()->timestamp(), 3000);
   }
-  // COW forking allocated one node per bound event + one for the fork's
-  // extension; deep copy re-allocated the whole matrix for the clone.
-  EXPECT_EQ(cow_arena.constructed(), 4u);
-  EXPECT_EQ(deep_arena.constructed(), 7u);
+  EXPECT_EQ(clone->LastBoundEvent()->timestamp(), 3000);
+  // One node per bound event plus one for the fork's extension: the clone
+  // shares the bound prefix instead of copying it.
+  EXPECT_EQ(arena.constructed(), 4u);
 }
 
 TEST(RunPoolTest, RecycleReusesRunObject) {
   auto plan = AbcPlan();
-  RunMemory memory(plan.get(), /*cow_bindings=*/true, /*use_arena=*/true);
+  RunMemory memory(plan.get());
   RunHandle run = memory.runs.Acquire(1);
   run->BeginComponent(0, Ev(0, 100));
   run->BeginComponent(1, Ev(1000, 50));

@@ -1,8 +1,9 @@
 // Differential fuzz test: the bytecode VM must be bit-identical to the AST
 // evaluator — same value for every OK evaluation, NULL where the other is
 // NULL, and an error status with the same code where the other errors. This
-// is the property that lets `bytecode_eval` flip freely without changing
-// ranked output (docs/ARCHITECTURE.md, "Predicate bytecode").
+// is the property that lets the matcher fall back to the AST walker for an
+// expression Compile emitted no program for without changing ranked output
+// (docs/ARCHITECTURE.md, "Predicate bytecode").
 //
 // We generate random type-correct expression trees over the SEQ(a, b+, c)
 // Stock layout, seed the leaves with adversarial constants (NULL, NaN,

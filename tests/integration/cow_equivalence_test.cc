@@ -1,13 +1,17 @@
-// Property suite for the hot-path ablation modes: copy-on-write bindings,
-// the run/binding arena, and the per-event predicate cache are pure
-// optimizations, so every combination must produce byte-identical ranked
-// output to the legacy deep-copy configuration — serial and sharded, on
-// fork-heavy SKIP_TILL_ANY_MATCH workloads, under load shedding, and under
-// a deterministic injected fault schedule (docs/ARCHITECTURE.md,
-// "Run-state memory model").
+// Pinned-output suite for the matcher's single hot path: copy-on-write
+// bindings, the run/binding arena, the per-event predicate cache, the
+// bytecode VM and the shared match DAG. Each workload's ranked output is
+// pinned as a digest computed from the legacy configuration (deep-copied
+// bindings, plain new/delete, per-run predicate evaluation, the AST walker)
+// when that configuration still existed. The engine must reproduce every
+// digest bit for bit — serial and sharded at 1, 2 and 4 shards, DAG on and
+// off, under load shedding and injected fault schedules, and through
+// PushAll (docs/ARCHITECTURE.md, "Run-state memory model").
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -21,31 +25,12 @@
 namespace cepr {
 namespace {
 
-struct Mode {
-  const char* label;
-  bool cow_bindings;
-  bool use_arena;
-  bool predicate_cache;
-  bool bytecode_eval;
-};
-
-// Mode 0 is the legacy baseline; the last mode is the full fast path (the
-// default). Layered so each step isolates one mechanism (E14/E17's axes) —
-// the final step swaps the recursive AST evaluator for the bytecode VM.
-constexpr Mode kModes[] = {
-    {"legacy-deep-copy", false, false, false, false},
-    {"cow", true, false, false, false},
-    {"cow+arena", true, true, false, false},
-    {"cow+arena+predcache", true, true, true, false},
-    {"cow+arena+predcache+bytecode", true, true, true, true},
-};
-
 struct Workload {
   const char* label;
   SchemaPtr schema;
   std::vector<Event> events;
   std::string query;
-  QueryOptions options;  // matcher ablation flags overwritten per mode
+  QueryOptions options;
 };
 
 // Fork-heavy: SKIP_TILL_ANY_MATCH forks a run at every Kleene extension,
@@ -118,154 +103,196 @@ Workload KleeneWorkload(uint64_t seed, size_t n = 4000) {
 // event-only iteration predicates, ranked buffered emission — the shape the
 // shared match DAG covers. SUM(b.price) discriminates between suffix
 // subsets so lazy enumeration stays near O(k); the 12ms window bounds the
-// per-run baseline's 2^t fork fan-out to test scale.
-Workload DagEligibleWorkload(uint64_t seed, size_t n = 3000) {
+// per-run path's 2^t fork fan-out to test scale.
+Workload DagEligibleWorkload(uint64_t seed, bool dag, size_t n = 3000) {
   ForkHeavyOptions options;
   options.base.seed = seed;
   options.num_streams = 2;
   options.anchor_probability = 0.15;
   options.base.interval_micros = 1000;
   ForkHeavyGenerator gen(options);
-  return Workload{"fork-heavy-dag", gen.schema(), gen.Take(n),
-                  "SELECT a.price, SUM(b.price), COUNT(b) "
-                  "FROM ForkTick MATCH PATTERN SEQ(a, b+) "
-                  "USING SKIP_TILL_ANY_MATCH "
-                  "PARTITION BY sym "
-                  "WHERE a.anchor = 1 AND b[i].anchor = 0 "
-                  "WITHIN 12 MILLISECONDS "
-                  "RANK BY SUM(b.price) DESC "
-                  "LIMIT 5 EMIT ON WINDOW CLOSE",
-                  QueryOptions{}};
+  Workload w{"fork-heavy-dag", gen.schema(), gen.Take(n),
+             "SELECT a.price, SUM(b.price), COUNT(b) "
+             "FROM ForkTick MATCH PATTERN SEQ(a, b+) "
+             "USING SKIP_TILL_ANY_MATCH "
+             "PARTITION BY sym "
+             "WHERE a.anchor = 1 AND b[i].anchor = 0 "
+             "WITHIN 12 MILLISECONDS "
+             "RANK BY SUM(b.price) DESC "
+             "LIMIT 5 EMIT ON WINDOW CLOSE",
+             QueryOptions{}};
+  w.options.matcher.shared_match_dag = dag;
+  return w;
 }
 
-QueryOptions WithMode(QueryOptions options, const Mode& mode) {
-  options.matcher.cow_bindings = mode.cow_bindings;
-  options.matcher.use_arena = mode.use_arena;
-  options.matcher.predicate_cache = mode.predicate_cache;
-  options.matcher.bytecode_eval = mode.bytecode_eval;
-  return options;
-}
+// The fault schedules: quarantined (kSkipAndCount) poison events keyed by
+// stream sequence, so they fire at identical positions on every engine.
+const std::vector<uint64_t> kSkipAnyPoison = {7, 100, 101, 555, 1500, 3999};
+const std::vector<uint64_t> kDagPoison = {3, 250, 251, 777, 1800, 2999};
 
-std::vector<RankedResult> RunSerial(const Workload& w, const Mode& mode,
-                                    const FaultInjector* injector = nullptr) {
-  EngineOptions engine_options;
-  if (injector != nullptr) {
-    engine_options.fault_policy = FaultPolicy::kSkipAndCount;
-    engine_options.fault_injector = injector;
-  }
-  Engine engine(engine_options);
-  EXPECT_TRUE(engine.RegisterSchema(w.schema).ok());
-  CollectSink sink;
-  const Status s =
-      engine.RegisterQuery("q", w.query, WithMode(w.options, mode), &sink);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  for (const Event& e : w.events) {
-    const Status push = engine.Push(Event(e));
-    EXPECT_TRUE(push.ok()) << push.ToString();
-  }
-  engine.Finish();
-  return sink.results();
-}
+// A ranked output pinned by its result count and digest.
+struct Pinned {
+  size_t results;
+  uint64_t digest;
+};
 
-std::vector<RankedResult> RunSharded(const Workload& w, const Mode& mode,
-                                     size_t num_shards,
-                                     const FaultInjector* injector = nullptr) {
-  ShardedEngineOptions engine_options;
-  engine_options.num_shards = num_shards;
-  if (injector != nullptr) {
-    engine_options.fault_policy = FaultPolicy::kSkipAndCount;
-    engine_options.fault_injector = injector;
-  }
-  ShardedEngine engine(engine_options);
-  EXPECT_TRUE(engine.RegisterSchema(w.schema).ok());
-  CollectSink sink;
-  const Status s =
-      engine.RegisterQuery("q", w.query, WithMode(w.options, mode), &sink);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  for (const Event& e : w.events) {
-    const Status push = engine.Push(Event(e));
-    EXPECT_TRUE(push.ok()) << push.ToString();
-  }
-  engine.Finish();
-  return sink.results();
-}
+// The legacy configuration's output, serial, one entry per workload x seed.
+constexpr Pinned kSkipAny42 = {250, 0xf8f7dac98e64f0c4ull};
+constexpr Pinned kSkipAny7 = {250, 0xf09e1ae68a852d2aull};
+constexpr Pinned kNegation42 = {1000, 0x29ba9cb423375081ull};
+constexpr Pinned kKleene42 = {5, 0x99816392f7228729ull};
+constexpr Pinned kDag42 = {1179, 0x78a7b80ce11f9d61ull};
+constexpr Pinned kDag7 = {1183, 0xd700bf19ebd666d7ull};
+constexpr Pinned kSkipAny42Faulted = {250, 0x6c64d63903a9f182ull};
+constexpr Pinned kDag42Faulted = {1179, 0x302065c6efb9755aull};
 
-void ExpectIdentical(const std::vector<RankedResult>& expected,
-                     const std::vector<RankedResult>& actual,
-                     const std::string& label) {
-  ASSERT_EQ(expected.size(), actual.size()) << label;
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i].window_id, actual[i].window_id) << label << " @" << i;
-    EXPECT_EQ(expected[i].rank, actual[i].rank) << label << " @" << i;
-    EXPECT_EQ(expected[i].provisional, actual[i].provisional)
-        << label << " @" << i;
-    EXPECT_EQ(expected[i].match.first_ts, actual[i].match.first_ts)
-        << label << " @" << i;
-    EXPECT_EQ(expected[i].match.last_ts, actual[i].match.last_ts)
-        << label << " @" << i;
-    EXPECT_EQ(expected[i].match.last_sequence, actual[i].match.last_sequence)
-        << label << " @" << i;
-    EXPECT_DOUBLE_EQ(expected[i].match.score, actual[i].match.score)
-        << label << " @" << i;
-    EXPECT_EQ(expected[i].match.row, actual[i].match.row) << label << " @" << i;
+// FNV-1a over every observable field of the ranked output, in order:
+// window id, rank, provisional flag, first/last timestamp, detecting-event
+// sequence, the score's bit pattern and the row (match.id is matcher-local
+// by design and excluded).
+class Fnv {
+ public:
+  void Bytes(const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) h_ = (h_ ^ p[i]) * 1099511628211ull;
   }
-}
+  template <typename T>
+  void Pod(T v) {
+    Bytes(&v, sizeof(v));
+  }
+  uint64_t value() const { return h_; }
 
-// Every ablation mode, serial and sharded at every shard count, must equal
-// the legacy deep-copy serial baseline.
-void CheckAllModes(const Workload& w) {
-  const auto baseline = RunSerial(w, kModes[0]);
-  EXPECT_FALSE(baseline.empty())
-      << w.label << ": workload produced no results; weak test";
-  for (const Mode& mode : kModes) {
-    ExpectIdentical(baseline, RunSerial(w, mode),
-                    std::string(w.label) + " serial " + mode.label);
-    for (size_t shards : {1u, 2u, 4u}) {
-      ExpectIdentical(baseline, RunSharded(w, mode, shards),
-                      std::string(w.label) + " shards=" +
-                          std::to_string(shards) + " " + mode.label);
+ private:
+  uint64_t h_ = 14695981039346656037ull;
+};
+
+uint64_t DigestOf(const std::vector<RankedResult>& results) {
+  Fnv d;
+  for (const RankedResult& r : results) {
+    d.Pod(r.window_id);
+    d.Pod(static_cast<uint64_t>(r.rank));
+    d.Pod(static_cast<uint8_t>(r.provisional));
+    d.Pod(r.match.first_ts);
+    d.Pod(r.match.last_ts);
+    d.Pod(r.match.last_sequence);
+    d.Pod(std::bit_cast<uint64_t>(r.match.score));
+    d.Pod(static_cast<uint64_t>(r.match.row.size()));
+    for (const Value& v : r.match.row) {
+      d.Pod(static_cast<uint8_t>(v.type()));
+      switch (v.type()) {
+        case ValueType::kNull:
+          break;
+        case ValueType::kBool:
+          d.Pod(static_cast<uint8_t>(v.AsBool()));
+          break;
+        case ValueType::kInt:
+          d.Pod(v.AsInt());
+          break;
+        case ValueType::kFloat:
+          d.Pod(std::bit_cast<uint64_t>(v.AsFloat()));
+          break;
+        case ValueType::kString:
+          d.Pod(static_cast<uint64_t>(v.AsString().size()));
+          d.Bytes(v.AsString().data(), v.AsString().size());
+          break;
+      }
     }
+  }
+  return d.value();
+}
+
+void ExpectPinned(const Pinned& pinned, const std::vector<RankedResult>& actual,
+                  const std::string& label) {
+  EXPECT_EQ(pinned.results, actual.size()) << label;
+  EXPECT_EQ(pinned.digest, DigestOf(actual))
+      << label << ": ranked output differs from the pinned digest";
+}
+
+// Ingest through one Push per event, or through a single PushAll call.
+enum class Ingest { kPush, kPushAll };
+
+template <typename E>
+std::vector<RankedResult> RunQuery(E& engine, const Workload& w, Ingest ingest) {
+  EXPECT_TRUE(engine.RegisterSchema(w.schema).ok());
+  CollectSink sink;
+  const Status s = engine.RegisterQuery("q", w.query, w.options, &sink);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  if (ingest == Ingest::kPushAll) {
+    const Status push = engine.PushAll(std::vector<Event>(w.events));
+    EXPECT_TRUE(push.ok()) << push.ToString();
+  } else {
+    for (const Event& e : w.events) {
+      const Status push = engine.Push(Event(e));
+      EXPECT_TRUE(push.ok()) << push.ToString();
+    }
+  }
+  engine.Finish();
+  return sink.results();
+}
+
+// `poison` (may be empty) arms a fresh injector per run, so fire counts
+// never leak across runs.
+std::vector<RankedResult> RunSerial(const Workload& w,
+                                    const std::vector<uint64_t>& poison = {},
+                                    Ingest ingest = Ingest::kPush) {
+  FaultInjector injector(1);
+  EngineOptions options;
+  if (!poison.empty()) {
+    injector.ArmKeys(fault_points::kEvalPoison, poison);
+    options.fault_policy = FaultPolicy::kSkipAndCount;
+    options.fault_injector = &injector;
+  }
+  Engine engine(options);
+  return RunQuery(engine, w, ingest);
+}
+
+std::vector<RankedResult> RunSharded(const Workload& w, size_t num_shards,
+                                     const std::vector<uint64_t>& poison = {},
+                                     Ingest ingest = Ingest::kPush) {
+  FaultInjector injector(1);
+  ShardedEngineOptions options;
+  options.num_shards = num_shards;
+  if (!poison.empty()) {
+    injector.ArmKeys(fault_points::kEvalPoison, poison);
+    options.fault_policy = FaultPolicy::kSkipAndCount;
+    options.fault_injector = &injector;
+  }
+  ShardedEngine engine(options);
+  return RunQuery(engine, w, ingest);
+}
+
+// Serial and sharded at every shard count must reproduce the pinned output.
+void CheckEveryEngine(const Workload& w, const Pinned& pinned,
+                      const std::string& tag) {
+  ExpectPinned(pinned, RunSerial(w), tag + " serial");
+  for (size_t shards : {1u, 2u, 4u}) {
+    ExpectPinned(pinned, RunSharded(w, shards),
+                 tag + " shards=" + std::to_string(shards));
   }
 }
 
 TEST(CowEquivalenceTest, SkipTillAnyForkHeavyWithShedding) {
-  for (uint64_t seed : {42u, 7u}) CheckAllModes(SkipTillAnyWorkload(seed));
+  CheckEveryEngine(SkipTillAnyWorkload(42), kSkipAny42, "skip-any seed=42");
+  CheckEveryEngine(SkipTillAnyWorkload(7), kSkipAny7, "skip-any seed=7");
 }
 
 TEST(CowEquivalenceTest, NegationPatterns) {
-  CheckAllModes(NegationWorkload(42));
+  CheckEveryEngine(NegationWorkload(42), kNegation42, "negation");
 }
 
 TEST(CowEquivalenceTest, LongKleeneChains) {
-  CheckAllModes(KleeneWorkload(42));
+  CheckEveryEngine(KleeneWorkload(42), kKleene42, "kleene");
 }
 
 // The shared match DAG with lazy enumeration is a pure representation
-// change: ranked output must be bit-identical to the per-run path on the
-// dag-eligible workload — every ablation mode, dag on and off, serial and
-// sharded at every shard count.
+// change: ranked output must equal the per-run path's pinned digest on the
+// dag-eligible workload — dag on and off, serial and sharded at every shard
+// count.
 TEST(CowEquivalenceTest, SharedMatchDagMatchesPerRunPath) {
-  for (uint64_t seed : {42u, 7u}) {
-    Workload off = DagEligibleWorkload(seed);
-    off.options.matcher.shared_match_dag = false;
-    const auto baseline = RunSerial(off, kModes[0]);
-    EXPECT_FALSE(baseline.empty())
-        << "dag workload produced no results; weak test";
-
-    for (const Mode& mode : kModes) {
-      for (bool dag : {false, true}) {
-        Workload w = DagEligibleWorkload(seed);
-        w.options.matcher.shared_match_dag = dag;
-        const std::string tag = std::string("dag=") + (dag ? "on" : "off") +
-                                " seed=" + std::to_string(seed) + " " +
-                                mode.label;
-        ExpectIdentical(baseline, RunSerial(w, mode), "serial " + tag);
-        for (size_t shards : {1u, 2u, 4u}) {
-          ExpectIdentical(baseline, RunSharded(w, mode, shards),
-                          "shards=" + std::to_string(shards) + " " + tag);
-        }
-      }
-    }
+  for (bool dag : {false, true}) {
+    const std::string tag = std::string("dag=") + (dag ? "on" : "off");
+    CheckEveryEngine(DagEligibleWorkload(42, dag), kDag42, tag + " seed=42");
+    CheckEveryEngine(DagEligibleWorkload(7, dag), kDag7, tag + " seed=7");
   }
 }
 
@@ -273,149 +300,49 @@ TEST(CowEquivalenceTest, SharedMatchDagMatchesPerRunPath) {
 // on the same events and the surviving ranked output must stay identical
 // whether the trailing fan-out lives in runs or in DAG groups.
 TEST(CowEquivalenceTest, SharedMatchDagIdenticalUnderInjectedFaults) {
-  const std::vector<uint64_t> poison_keys = {3, 250, 251, 777, 1800, 2999};
-
-  Workload off = DagEligibleWorkload(42);
-  off.options.matcher.shared_match_dag = false;
-  FaultInjector baseline_injector(1);
-  baseline_injector.ArmKeys(fault_points::kEvalPoison, poison_keys);
-  const auto baseline = RunSerial(off, kModes[0], &baseline_injector);
-  EXPECT_FALSE(baseline.empty()) << "faulted dag workload produced no results";
-
   for (bool dag : {false, true}) {
-    Workload w = DagEligibleWorkload(42);
-    w.options.matcher.shared_match_dag = dag;
+    const Workload w = DagEligibleWorkload(42, dag);
     const std::string tag = std::string("dag=") + (dag ? "on" : "off");
-
-    FaultInjector serial_injector(1);
-    serial_injector.ArmKeys(fault_points::kEvalPoison, poison_keys);
-    ExpectIdentical(baseline, RunSerial(w, kModes[4], &serial_injector),
-                    "faulted serial " + tag);
-
-    FaultInjector sharded_injector(1);
-    sharded_injector.ArmKeys(fault_points::kEvalPoison, poison_keys);
-    ExpectIdentical(baseline, RunSharded(w, kModes[4], 2, &sharded_injector),
-                    "faulted shards=2 " + tag);
-  }
-}
-
-// Columnar window-buffer eviction is observationally identical to the
-// per-run expiry check, on both the per-run and the dag path.
-TEST(CowEquivalenceTest, ColumnarExpiryMatchesPerRunExpiry) {
-  for (bool dag_workload : {false, true}) {
-    Workload base = dag_workload ? DagEligibleWorkload(42)
-                                 : SkipTillAnyWorkload(42);
-    base.options.matcher.columnar_expiry = false;
-    const auto baseline = RunSerial(base, kModes[0]);
-    EXPECT_FALSE(baseline.empty()) << base.label;
-
-    for (bool columnar : {false, true}) {
-      Workload w = dag_workload ? DagEligibleWorkload(42)
-                                : SkipTillAnyWorkload(42);
-      w.options.matcher.columnar_expiry = columnar;
-      const std::string tag = std::string(w.label) + " columnar_expiry=" +
-                              (columnar ? "on" : "off");
-      ExpectIdentical(baseline, RunSerial(w, kModes[4]), "serial " + tag);
-      for (size_t shards : {1u, 2u}) {
-        ExpectIdentical(baseline, RunSharded(w, kModes[4], shards),
-                        "shards=" + std::to_string(shards) + " " + tag);
-      }
-    }
+    ExpectPinned(kDag42Faulted, RunSerial(w, kDagPoison), "faulted serial " + tag);
+    ExpectPinned(kDag42Faulted, RunSharded(w, 2, kDagPoison),
+                 "faulted shards=2 " + tag);
   }
 }
 
 TEST(CowEquivalenceTest, IdenticalUnderInjectedFaults) {
-  // The PR3 fault schedule: the same poisoned events must be quarantined
-  // and the surviving output must stay identical in every mode. Each run
-  // gets its own injector so fire counts don't leak across runs.
+  // The same poisoned events must be quarantined and the surviving output
+  // must stay identical, serial and sharded.
   const Workload w = SkipTillAnyWorkload(42);
-  const std::vector<uint64_t> poison_keys = {7, 100, 101, 555, 1500, 3999};
+  ExpectPinned(kSkipAny42Faulted, RunSerial(w, kSkipAnyPoison), "faulted serial");
+  ExpectPinned(kSkipAny42Faulted, RunSharded(w, 2, kSkipAnyPoison),
+               "faulted shards=2");
+}
 
-  FaultInjector baseline_injector(1);
-  baseline_injector.ArmKeys(fault_points::kEvalPoison, poison_keys);
-  const auto baseline = RunSerial(w, kModes[0], &baseline_injector);
-  EXPECT_FALSE(baseline.empty()) << "faulted workload produced no results";
-
-  for (const Mode& mode : kModes) {
-    FaultInjector serial_injector(1);
-    serial_injector.ArmKeys(fault_points::kEvalPoison, poison_keys);
-    ExpectIdentical(baseline, RunSerial(w, mode, &serial_injector),
-                    std::string("faulted serial ") + mode.label);
-
-    FaultInjector sharded_injector(1);
-    sharded_injector.ArmKeys(fault_points::kEvalPoison, poison_keys);
-    ExpectIdentical(baseline, RunSharded(w, mode, 2, &sharded_injector),
-                    std::string("faulted shards=2 ") + mode.label);
+// PushAll is a per-event Push loop: one call over the whole stream must
+// reproduce the pinned output on both engines, per-run and dag paths.
+TEST(CowEquivalenceTest, PushAllReproducesPinnedDigests) {
+  const Workload skip_any = SkipTillAnyWorkload(42);
+  const Workload dag = DagEligibleWorkload(42, true);
+  ExpectPinned(kSkipAny42, RunSerial(skip_any, {}, Ingest::kPushAll),
+               "skip-any serial PushAll");
+  ExpectPinned(kDag42, RunSerial(dag, {}, Ingest::kPushAll), "dag serial PushAll");
+  for (size_t shards : {1u, 2u, 4u}) {
+    const std::string tag = " shards=" + std::to_string(shards) + " PushAll";
+    ExpectPinned(kSkipAny42, RunSharded(skip_any, shards, {}, Ingest::kPushAll),
+                 "skip-any" + tag);
+    ExpectPinned(kDag42, RunSharded(dag, shards, {}, Ingest::kPushAll),
+                 "dag" + tag);
   }
 }
 
-// Batched columnar ingest (PushAll run accumulation + ProbeBatch screening)
-// is a pure screening optimization: for every mode, PushAll with
-// batch_ingest on must equal the per-event Push baseline exactly — serial
-// and sharded at every shard count.
-TEST(CowEquivalenceTest, BatchedIngestMatchesPerEvent) {
-  const Workload w = SkipTillAnyWorkload(42);
-  const auto baseline = RunSerial(w, kModes[0]);
-  ASSERT_FALSE(baseline.empty());
-
-  for (const Mode& mode : {kModes[0], kModes[4]}) {
-    for (bool batch : {false, true}) {
-      const std::string tag = std::string(mode.label) +
-                              (batch ? " batch" : " per-event") + " PushAll";
-      {
-        EngineOptions engine_options;
-        engine_options.batch_ingest = batch;
-        Engine engine(engine_options);
-        ASSERT_TRUE(engine.RegisterSchema(w.schema).ok());
-        CollectSink sink;
-        ASSERT_TRUE(
-            engine.RegisterQuery("q", w.query, WithMode(w.options, mode), &sink)
-                .ok());
-        std::vector<Event> events = w.events;
-        const Status s = engine.PushAll(std::move(events));
-        ASSERT_TRUE(s.ok()) << s.ToString();
-        engine.Finish();
-        ExpectIdentical(baseline, sink.results(), "serial " + tag);
-        if (batch) {
-          EXPECT_GT(engine.Snapshot().sharing.batch_scan_events, 0u)
-              << "batch path did not engage; weak test";
-        }
-      }
-      for (size_t shards : {1u, 2u, 4u}) {
-        ShardedEngineOptions engine_options;
-        engine_options.num_shards = shards;
-        engine_options.batch_ingest = batch;
-        ShardedEngine engine(engine_options);
-        ASSERT_TRUE(engine.RegisterSchema(w.schema).ok());
-        CollectSink sink;
-        ASSERT_TRUE(
-            engine.RegisterQuery("q", w.query, WithMode(w.options, mode), &sink)
-                .ok());
-        std::vector<Event> events = w.events;
-        const Status s = engine.PushAll(std::move(events));
-        ASSERT_TRUE(s.ok()) << s.ToString();
-        engine.Finish();
-        ExpectIdentical(baseline, sink.results(),
-                        "shards=" + std::to_string(shards) + " " + tag);
-      }
-    }
-  }
-}
-
-// The new hot-path counters are deterministic per partition, so the
-// sharded engine's totals must equal the serial engine's for any shard
-// count — the same invariant the other matcher counters already obey.
+// The hot-path counters are deterministic per partition, so the sharded
+// engine's totals must equal the serial engine's for any shard count — the
+// same invariant the other matcher counters already obey.
 TEST(CowEquivalenceTest, HotPathCountersMatchSerialTotals) {
   const Workload w = SkipTillAnyWorkload(42);
 
   const auto run = [&w](auto& engine) -> MatcherStats {
-    EXPECT_TRUE(engine.RegisterSchema(w.schema).ok());
-    CollectSink sink;
-    EXPECT_TRUE(engine.RegisterQuery("q", w.query, w.options, &sink).ok());
-    for (const Event& e : w.events) {
-      EXPECT_TRUE(engine.Push(Event(e)).ok());
-    }
-    engine.Finish();
+    RunQuery(engine, w, Ingest::kPush);
     return engine.GetQueryMetrics("q")->matcher;
   };
 

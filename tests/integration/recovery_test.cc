@@ -20,6 +20,7 @@
 #include "common/random.h"
 #include "runtime/engine.h"
 #include "runtime/sharded_engine.h"
+#include "testing/helpers.h"
 #include "workload/forkheavy.h"
 #include "workload/stock.h"
 
@@ -180,8 +181,8 @@ void RunCrashRecovery(size_t shards, const StockStream& stream,
       shards, stream, arrivals, plan.lateness, injector);
   ASSERT_FALSE(reference.empty()) << "workload produced no results; weak test";
 
-  const std::string snap = ::testing::TempDir() + label + ".ckpt";
-  const std::string wal = ::testing::TempDir() + label + ".wal";
+  const std::string snap = testing::TestTempPath(label + ".ckpt");
+  const std::string wal = testing::TestTempPath(label + ".wal");
   std::remove(snap.c_str());
   std::remove((snap + ".tmp").c_str());
   std::remove(wal.c_str());
@@ -288,6 +289,8 @@ void RunCrashRecovery(size_t shards, const StockStream& stream,
     EXPECT_EQ(reference[i].match.score, combined[i].match.score) << "@" << i;
     EXPECT_EQ(reference[i].match.row, combined[i].match.row) << "@" << i;
   }
+  std::remove(snap.c_str());
+  std::remove(wal.c_str());
 }
 
 void RunCrashRecoveryAnyEngine(size_t shards, const StockStream& stream,
@@ -486,7 +489,7 @@ INSTANTIATE_TEST_SUITE_P(Engines, RecoveryTest,
 
 TEST(RecoveryValidationTest, RestoreRequiresPristineEngine) {
   const StockStream stream = InOrderStock(10);
-  const std::string snap = ::testing::TempDir() + "recovery_pristine.ckpt";
+  const std::string snap = testing::TestTempPath("ckpt");
   {
     Engine writer;
     ASSERT_TRUE(writer.RegisterSchema(stream.schema).ok());
@@ -500,7 +503,7 @@ TEST(RecoveryValidationTest, RestoreRequiresPristineEngine) {
 
 TEST(RecoveryValidationTest, EngineKindMismatchIsRejected) {
   const StockStream stream = InOrderStock(10);
-  const std::string snap = ::testing::TempDir() + "recovery_kind.ckpt";
+  const std::string snap = testing::TestTempPath("ckpt");
   {
     Engine writer;
     ASSERT_TRUE(writer.RegisterSchema(stream.schema).ok());
@@ -514,7 +517,7 @@ TEST(RecoveryValidationTest, EngineKindMismatchIsRejected) {
 
 TEST(RecoveryValidationTest, ShardCountMismatchIsRejected) {
   const StockStream stream = InOrderStock(10);
-  const std::string snap = ::testing::TempDir() + "recovery_shards.ckpt";
+  const std::string snap = testing::TestTempPath("ckpt");
   {
     ShardedEngineOptions options;
     options.num_shards = 2;
@@ -535,7 +538,7 @@ TEST(RecoveryValidationTest, ShardCountMismatchIsRejected) {
 TEST(RecoveryValidationTest, MissingSnapshotIsNotFound) {
   Engine engine;
   const Status s = engine.Restore(
-      ::testing::TempDir() + "recovery_no_such_file.ckpt", "", nullptr);
+      testing::TestTempPath("missing.ckpt"), "", nullptr);
   EXPECT_EQ(s.code(), StatusCode::kNotFound) << s.ToString();
 }
 
@@ -543,8 +546,8 @@ TEST(RecoveryValidationTest, NullResolverDropsResultsButRecoversState) {
   // Restoring without sinks is legal (a metrics-only or drain use case):
   // state is rebuilt, results go nowhere.
   const StockStream stream = InOrderStock(2000);
-  const std::string snap = ::testing::TempDir() + "recovery_nullsink.ckpt";
-  const std::string wal = ::testing::TempDir() + "recovery_nullsink.wal";
+  const std::string snap = testing::TestTempPath("ckpt");
+  const std::string wal = testing::TestTempPath("wal");
   std::remove(wal.c_str());
   {
     Engine writer;

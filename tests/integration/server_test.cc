@@ -29,6 +29,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "runtime/engine.h"
+#include "testing/helpers.h"
 #include "workload/stock.h"
 
 namespace cepr {
@@ -110,8 +111,8 @@ QueryOptions PrunedOptions() {
   return options;
 }
 
-std::string FreshDataDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + name;
+std::string FreshDataDir() {
+  const std::string dir = ::cepr::testing::TestTempPath("data");
   ::mkdir(dir.c_str(), 0755);
   std::remove((dir + "/snapshot.ckpt").c_str());
   std::remove((dir + "/snapshot.ckpt.tmp").c_str());
@@ -262,14 +263,14 @@ TEST(ServerTest, HotDeployMidStreamSeesOnlyLaterEvents) {
 // Shared body: kill the serving process at arrival `kill_at`, restart on
 // the same data_dir, reconnect, finish the stream, and require exact
 // coverage of the reference whatever checkpoint cadence was active.
-void RunKillRestart(ServerOptions base_options, const std::string& dir_name,
+void RunKillRestart(ServerOptions base_options,
                     bool explicit_midstream_checkpoint) {
   const std::vector<Event> events = StockEvents(4000);
   const size_t kill_at = 2500;
   const std::vector<RankedResult> reference = RunReference(events);
   ASSERT_FALSE(reference.empty());
 
-  base_options.data_dir = FreshDataDir(dir_name);
+  base_options.data_dir = FreshDataDir();
 
   // --- Life 1: the doomed server. ---
   auto server1 = std::make_unique<CeprServer>(base_options);
@@ -331,12 +332,12 @@ void RunKillRestart(ServerOptions base_options, const std::string& dir_name,
 TEST(ServerRecoveryTest, KillRestartWithTimerCheckpoints) {
   ServerOptions options;
   options.checkpoint_interval_ms = 20;  // cuts land wherever the timer fires
-  RunKillRestart(options, "server_recovery_timer", false);
+  RunKillRestart(options, false);
 }
 
 TEST(ServerRecoveryTest, KillRestartWithExplicitCheckpoint) {
   ServerOptions options;  // no timer: exactly checkpoint 0 + the forced cut
-  RunKillRestart(options, "server_recovery_explicit", true);
+  RunKillRestart(options, true);
 }
 
 TEST(ServerRecoveryTest, ShardedKillRestart) {
@@ -347,7 +348,7 @@ TEST(ServerRecoveryTest, ShardedKillRestart) {
 
   ServerOptions options;
   options.num_shards = 2;
-  options.data_dir = FreshDataDir("server_recovery_sharded");
+  options.data_dir = FreshDataDir();
 
   auto server1 = std::make_unique<CeprServer>(options);
   ASSERT_TRUE(server1->Start().ok());

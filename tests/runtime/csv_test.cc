@@ -16,8 +16,7 @@ using testing::Tick;
 class CsvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "cepr_csv_test_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".csv";
+    path_ = testing::TestTempPath("csv");
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

@@ -12,10 +12,13 @@
 #include <string>
 #include <vector>
 
+#include "common/binio.h"
 #include "common/random.h"
 #include "runtime/engine.h"
+#include "runtime/serde.h"
 #include "runtime/sharded_engine.h"
 #include "runtime/wal.h"
+#include "testing/helpers.h"
 #include "workload/stock.h"
 
 namespace cepr {
@@ -168,7 +171,7 @@ TEST(IdempotenceTest, ShardedDoubleFlushMidStreamEqualsSingleFlush) {
 
 TEST(SnapshotTest, EmptyEngineRoundTripsOptionsAndSchemas) {
   const StockStream stream = InOrderStock(10);
-  const std::string snap = ::testing::TempDir() + "durability_empty.ckpt";
+  const std::string snap = testing::TestTempPath("ckpt");
   {
     EngineOptions options;
     options.max_lateness_micros = 12345;
@@ -200,7 +203,7 @@ TEST(SnapshotTest, CheckpointIsAtomicAgainstOverwrite) {
   // a second checkpoint replaces the first in one step and the file is
   // always a complete, valid image.
   const StockStream stream = InOrderStock(2000);
-  const std::string snap = ::testing::TempDir() + "durability_atomic.ckpt";
+  const std::string snap = testing::TestTempPath("ckpt");
   Engine engine;
   ASSERT_TRUE(engine.RegisterSchema(stream.schema).ok());
   CollectSink sink;
@@ -224,6 +227,64 @@ TEST(SnapshotTest, CheckpointIsAtomicAgainstOverwrite) {
   engine.Finish();
 }
 
+TEST(SnapshotTest, PreviousFormatVersionIsRejected) {
+  // A snapshot of the previous layout is refused at the header, before any
+  // body byte is decoded: upgrading means starting from a fresh WAL and
+  // snapshot.
+  const StockStream stream = InOrderStock(10);
+  const std::string snap = testing::TestTempPath("ckpt");
+  {
+    Engine writer;
+    ASSERT_TRUE(writer.RegisterSchema(stream.schema).ok());
+    ASSERT_TRUE(writer.Checkpoint(snap).ok());
+  }
+  std::string bytes = ReadFileOrDie(snap);
+  // The header's u32 little-endian version follows the 8-byte magic.
+  bytes.replace(sizeof(ckpt::kMagic), 4, std::string("\x02\x00\x00\x00", 4));
+  WriteFileOrDie(snap, bytes);
+  Engine engine;
+  const Status s = engine.Restore(snap, "", nullptr);
+  EXPECT_EQ(s.code(), StatusCode::kCorrupt) << s.ToString();
+  EXPECT_NE(s.message().find("unsupported format version 2"),
+            std::string::npos)
+      << s.ToString();
+  std::remove(snap.c_str());
+}
+
+TEST(SnapshotTest, OldLayoutDeployRecordFailsReplayCleanly) {
+  // WAL records carry no format version. A deploy record in the previous
+  // option-block layout (four trailing matcher flags) must fail replay as a
+  // clean kCorrupt naming the record, never register a query from misread
+  // options.
+  const StockStream stream = InOrderStock(10);
+  const std::string snap = testing::TestTempPath("ckpt");
+  const std::string wal = testing::TestTempPath("wal");
+  std::remove(wal.c_str());
+  {
+    Engine writer;
+    ASSERT_TRUE(writer.RegisterSchema(stream.schema).ok());
+    ASSERT_TRUE(writer.OpenWal(wal).ok());
+    ASSERT_TRUE(writer.Checkpoint(snap).ok());
+  }
+  {
+    BinWriter blob;
+    blob.Str(kStockQuery);
+    SaveQueryOptions(&blob, QueryOptions{});
+    for (int i = 0; i < 4; ++i) blob.Bool(true);
+    WalWriter journal;
+    ASSERT_TRUE(journal.Open(wal).ok());
+    ASSERT_TRUE(journal.AppendDeploy("q", blob.buffer()).ok());
+    ASSERT_TRUE(journal.Sync().ok());
+  }
+  Engine engine;
+  const Status s = engine.Restore(snap, wal, nullptr);
+  EXPECT_EQ(s.code(), StatusCode::kCorrupt) << s.ToString();
+  EXPECT_NE(s.message().find("record 0"), std::string::npos) << s.ToString();
+  EXPECT_NE(s.message().find("'q'"), std::string::npos) << s.ToString();
+  std::remove(snap.c_str());
+  std::remove(wal.c_str());
+}
+
 // --- Chunked WAL open scan -------------------------------------------------
 
 TEST(WalScanTest, MultiMegabyteWalTruncatesTornTailIdenticallyToReadAll) {
@@ -233,7 +294,7 @@ TEST(WalScanTest, MultiMegabyteWalTruncatesTornTailIdenticallyToReadAll) {
   // torn tail lands relative to chunk boundaries (256KiB): Open truncates
   // to exactly the valid prefix WalReader::ReadAll sees, counts the same
   // records, and appending resumes cleanly.
-  const std::string path = ::testing::TempDir() + "durability_chunked.wal";
+  const std::string path = testing::TestTempPath("wal");
   std::remove(path.c_str());
 
   // ~2000 records of ~2KB each => ~4MB, many scan chunks. Payload sizes are
@@ -298,8 +359,8 @@ class TornFileFuzzTest : public ::testing::Test {
   static void SetUpTestSuite() {
     const StockStream stream = InOrderStock(2000);
     schema_ = stream.schema;
-    snap_path_ = ::testing::TempDir() + "durability_fuzz.ckpt";
-    wal_path_ = ::testing::TempDir() + "durability_fuzz.wal";
+    snap_path_ = testing::TestTempPath("ckpt");
+    wal_path_ = testing::TestTempPath("wal");
     std::remove(wal_path_.c_str());
     Engine engine;
     ASSERT_TRUE(engine.RegisterSchema(stream.schema).ok());
@@ -356,7 +417,7 @@ TEST_F(TornFileFuzzTest, IntactFilesRestoreCleanly) {
 }
 
 TEST_F(TornFileFuzzTest, TruncatedSnapshotsFailCleanly) {
-  const std::string mutant = ::testing::TempDir() + "durability_fuzz_trunc.ckpt";
+  const std::string mutant = testing::TestTempPath("ckpt");
   Random rng(0xF112E);
   std::vector<size_t> cuts = {0, 1, 7, 8, 12, 13, 20, 21,
                               snap_bytes_->size() - 1};
@@ -375,7 +436,7 @@ TEST_F(TornFileFuzzTest, TruncatedSnapshotsFailCleanly) {
 }
 
 TEST_F(TornFileFuzzTest, BitFlippedSnapshotsFailCleanly) {
-  const std::string mutant = ::testing::TempDir() + "durability_fuzz_flip.ckpt";
+  const std::string mutant = testing::TestTempPath("ckpt");
   Random rng(0xF11B);
   // Every header byte plus a seeded sample of the body.
   std::vector<size_t> offsets;
@@ -406,7 +467,7 @@ TEST_F(TornFileFuzzTest, CorruptedWalNeverCrashes) {
   // WAL damage is survivable by design (torn tails are truncated at open),
   // but damage before the snapshot's cut must be reported as corruption,
   // and nothing may crash, hang, or trip a sanitizer.
-  const std::string mutant = ::testing::TempDir() + "durability_fuzz.walmut";
+  const std::string mutant = testing::TestTempPath("wal");
   Random wal_rng(0xA17);
   for (int i = 0; i < 24; ++i) {
     std::string bytes = *wal_bytes_;
@@ -437,7 +498,7 @@ TEST_F(TornFileFuzzTest, CorruptedWalNeverCrashes) {
 TEST_F(TornFileFuzzTest, WalTruncatedBelowCutNamesTheJournal) {
   // Deterministic case of the corruption path: journal cut off before the
   // snapshot's record count.
-  const std::string mutant = ::testing::TempDir() + "durability_fuzz.walshort";
+  const std::string mutant = testing::TestTempPath("wal");
   WriteFileOrDie(mutant, wal_bytes_->substr(0, 32));
   const Status s = TryRestore(snap_path_, mutant);
   ASSERT_EQ(s.code(), StatusCode::kCorrupt) << s.ToString();

@@ -107,7 +107,7 @@ TEST_F(EngineTest, OutOfOrderEventsRejectedByDefault) {
 
 TEST_F(EngineTest, OutOfOrderClampedWhenConfigured) {
   EngineOptions options;
-  options.reject_out_of_order = false;
+  options.late_policy = LatePolicy::kClamp;
   Engine lenient(options);
   ASSERT_TRUE(lenient.ExecuteDdl(kDdl).ok());
   auto schema = lenient.GetSchema("Stock").value();

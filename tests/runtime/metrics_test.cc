@@ -64,13 +64,9 @@ TEST(MetricsJsonTest, MergeStatsFields) {
 
 TEST(MetricsJsonTest, SharingStatsCarriesHotPathCounters) {
   SharingStats s;
-  s.batch_scan_events = 4;
-  s.bitmap_hits = 9;
   s.bytecode_compiled_preds = 6;
   const std::string json = s.ToJson();
   ExpectBalancedJson(json);
-  EXPECT_NE(json.find("\"batch_scan_events\":4"), std::string::npos);
-  EXPECT_NE(json.find("\"bitmap_hits\":9"), std::string::npos);
   EXPECT_NE(json.find("\"bytecode_compiled_preds\":6"), std::string::npos);
   EXPECT_NE(s.ToString().find("bytecode_compiled_preds=6"),
             std::string::npos);

@@ -1,10 +1,14 @@
 #ifndef CEPR_TESTS_TESTING_HELPERS_H_
 #define CEPR_TESTS_TESTING_HELPERS_H_
 
+#include <unistd.h>
+
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "event/event.h"
 #include "expr/eval.h"
@@ -31,6 +35,26 @@ inline BindingLayout AbcLayout() {
                         PatternVar{"b", true, false, ""},
                         PatternVar{"c", false, false, ""}},
                        StockSchema());
+}
+
+/// A scratch-file path unique to the running test and process:
+/// TempDir() + "<suite>.<test>.<pid>.<tag>" ('/' of parameterized names
+/// becomes '_'; inside SetUpTestSuite the suite name stands alone). ctest
+/// runs every discovered test as its own process, concurrently under -j,
+/// so fixed file names would let tests overwrite each other's files.
+inline std::string TestTempPath(const std::string& tag) {
+  const ::testing::UnitTest& unit = *::testing::UnitTest::GetInstance();
+  std::string name;
+  if (const ::testing::TestInfo* test = unit.current_test_info()) {
+    name = std::string(test->test_suite_name()) + "." + test->name();
+  } else if (const ::testing::TestSuite* suite = unit.current_test_suite()) {
+    name = suite->name();
+  }
+  for (char& c : name) {
+    if (c == '/') c = '_';
+  }
+  return ::testing::TempDir() + name + "." + std::to_string(::getpid()) +
+         "." + tag;
 }
 
 /// Builds a Stock event.
