@@ -1,12 +1,12 @@
-// E11 — Sharded-engine scaling: per-partition worker threads vs. the
-// serial engine.
+// E11 — Shard-backend scaling: per-partition worker threads vs. the
+// inline backend.
 //
 // The E1 workload (stock stream, ranked dip query partitioned by symbol,
-// EMIT ON WINDOW CLOSE) replayed through the serial Engine (arg 0) and
-// through ShardedEngine at 1/2/4/8 shards. The headline series: events/s
-// per shard count. Output equivalence between the two engines is asserted
-// by tests/integration/sharded_equivalence_test.cc, so this binary only
-// measures.
+// EMIT ON WINDOW CLOSE) replayed through the inline backend (arg 0) and
+// through the shard backend at 1/2/4/8 shards. The headline series:
+// events/s per shard count. Output equivalence between the backends is
+// asserted by tests/integration/sharded_equivalence_test.cc, so this
+// binary only measures.
 //
 // Scaling expectation: near-linear up to the machine's core count for
 // partition-rich streams (10 symbols here), then flat; a single-core host
@@ -19,7 +19,6 @@
 #include <thread>
 
 #include "bench_util.h"
-#include "runtime/sharded_engine.h"
 
 namespace cepr {
 namespace bench {
@@ -48,9 +47,9 @@ void BM_ParallelScaling(benchmark::State& state) {
       Replay(engine.get(), events);
       results = engine->GetQuery("q").value()->metrics().results;
     } else {
-      ShardedEngineOptions engine_options;
+      EngineOptions engine_options;
       engine_options.num_shards = num_shards;
-      ShardedEngine engine(engine_options);
+      Engine engine(engine_options);
       Status s = engine.RegisterSchema(StockGenerator::MakeSchema());
       CEPR_CHECK(s.ok()) << s.ToString();
       NullSink sink;
@@ -97,9 +96,9 @@ void BM_ParallelManyPartitions(benchmark::State& state) {
   const std::string query = DipQuery(/*limit=*/10);
 
   for (auto _ : state) {
-    ShardedEngineOptions engine_options;
+    EngineOptions engine_options;
     engine_options.num_shards = num_shards;
-    ShardedEngine engine(engine_options);
+    Engine engine(engine_options);
     Status s = engine.RegisterSchema(StockGenerator::MakeSchema());
     CEPR_CHECK(s.ok()) << s.ToString();
     NullSink sink;
@@ -150,9 +149,9 @@ void BM_ParallelSnapshotOverhead(benchmark::State& state) {
 
   uint64_t polls = 0;
   for (auto _ : state) {
-    ShardedEngineOptions engine_options;
+    EngineOptions engine_options;
     engine_options.num_shards = 4;
-    ShardedEngine engine(engine_options);
+    Engine engine(engine_options);
     Status s = engine.RegisterSchema(StockGenerator::MakeSchema());
     CEPR_CHECK(s.ok()) << s.ToString();
     NullSink sink;

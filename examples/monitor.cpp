@@ -1,9 +1,10 @@
-// Live monitoring demo: all three domain streams run through the sharded
-// engine while a background monitor thread polls Engine::Snapshot() — the
-// thread-safe metrics API — and repaints a dashboard with each query's
-// counters, latency percentiles, per-shard queue pressure, and the current
-// top ranked results. On exit it dumps the final snapshot as JSON (the wire
-// format an external poller would scrape).
+// Live monitoring demo: all three domain streams run through a sharded
+// Engine (num_shards, default 4; 0 runs them inline) while a background
+// monitor thread polls Engine::Snapshot() — the thread-safe metrics API —
+// and repaints a dashboard with each query's counters, latency
+// percentiles, per-shard queue pressure, and the current top ranked
+// results. On exit it dumps the final snapshot as JSON (the wire format an
+// external poller would scrape).
 //
 // Usage: monitor [rounds] [events_per_round] [num_shards]
 
@@ -19,7 +20,7 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/sharded_engine.h"
+#include "runtime/engine.h"
 #include "workload/health.h"
 #include "workload/stock.h"
 #include "workload/traffic.h"
@@ -132,9 +133,9 @@ int main(int argc, char** argv) {
     return o;
   }());
 
-  cepr::ShardedEngineOptions engine_options;
+  cepr::EngineOptions engine_options;
   engine_options.num_shards = num_shards;
-  cepr::ShardedEngine engine(engine_options);
+  cepr::Engine engine(engine_options);
   for (const auto& schema :
        {stock.schema(), health.schema(), traffic.schema()}) {
     auto s = engine.RegisterSchema(schema);

@@ -15,8 +15,8 @@ namespace cepr {
 /// read size() (approximate under concurrency).
 ///
 /// Capacity is rounded up to a power of two. A full queue rejects pushes
-/// (the producer implements backpressure on top, see ShardedEngine); an
-/// empty queue rejects pops.
+/// (the producer implements backpressure on top, see Engine::ShardBackend);
+/// an empty queue rejects pops.
 template <typename T>
 class SpscQueue {
  public:

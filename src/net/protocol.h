@@ -51,7 +51,7 @@ enum class MsgType : uint8_t {
   /// the template registry, no drain. The deploying session is subscribed
   /// to the query's ranked results.
   kDeploy = 5,
-  /// [str name] — hot remove (serial engine only).
+  /// [str name] — hot remove (inline backend only).
   kUndeploy = 6,
   /// [str name] -> reply payload [u64 prior] (results the query delivered
   /// before this server life's buffering began — the recovered prefix

@@ -14,63 +14,6 @@
 namespace cepr {
 namespace net {
 
-namespace {
-
-/// Mode-erasing adapter over the two engine types. The sharded engine has
-/// no RemoveQuery (queries are fixed at start); the divergence is absorbed
-/// here so sessions never branch on the mode.
-template <typename E>
-class HostImpl : public EngineHost {
- public:
-  explicit HostImpl(std::unique_ptr<E> engine) : engine_(std::move(engine)) {}
-
-  Status ExecuteDdl(std::string_view ddl_text) override {
-    return engine_->ExecuteDdl(ddl_text);
-  }
-  Result<SchemaPtr> GetSchema(std::string_view stream_name) override {
-    return engine_->GetSchema(stream_name);
-  }
-  Status RegisterQuery(std::string name, std::string_view query_text,
-                       const QueryOptions& options, Sink* sink) override {
-    return engine_->RegisterQuery(std::move(name), query_text, options, sink);
-  }
-  Status RemoveQuery(std::string_view name) override {
-    if constexpr (requires(E& e) { e.RemoveQuery(name); }) {
-      return engine_->RemoveQuery(name);
-    } else {
-      return Status::Unimplemented(
-          "undeploy requires the serial engine: sharded queries are fixed "
-          "at start");
-    }
-  }
-  Result<QueryMetrics> GetQueryMetrics(std::string_view name) override {
-    return engine_->GetQueryMetrics(name);
-  }
-  Status Push(Event event) override { return engine_->Push(std::move(event)); }
-  Status PushAll(std::vector<Event> events) override {
-    return engine_->PushAll(std::move(events));
-  }
-  Status Flush() override { return engine_->Flush(); }
-  void Finish() override { engine_->Finish(); }
-  MetricsSnapshot Snapshot() override { return engine_->Snapshot(); }
-  Status OpenWal(const std::string& path) override {
-    return engine_->OpenWal(path);
-  }
-  Status SyncWal() override { return engine_->SyncWal(); }
-  Status Checkpoint(const std::string& path) override {
-    return engine_->Checkpoint(path);
-  }
-  Status Restore(const std::string& snapshot_path, const std::string& wal_path,
-                 const SinkResolver& resolve) override {
-    return engine_->Restore(snapshot_path, wal_path, resolve);
-  }
-
- private:
-  std::unique_ptr<E> engine_;
-};
-
-}  // namespace
-
 // -- ResultChannel -----------------------------------------------------------
 
 void ResultChannel::OnResult(const RankedResult& result) {
@@ -118,27 +61,22 @@ Sink* CeprServer::ChannelFor(const std::string& name) {
 Status CeprServer::Start() {
   if (started_) return Status::InvalidArgument("server already started");
 
-  if (options_.num_shards > 0) {
-    ShardedEngineOptions opts = options_.sharded;
-    opts.num_shards = options_.num_shards;
-    host_ = std::make_unique<HostImpl<ShardedEngine>>(
-        std::make_unique<ShardedEngine>(opts));
-  } else {
-    host_ = std::make_unique<HostImpl<Engine>>(
-        std::make_unique<Engine>(options_.engine));
-  }
+  EngineOptions engine_options = options_.engine;
+  engine_options.num_shards = options_.num_shards;
+  engine_ = std::make_unique<Engine>(engine_options);
 
   if (!options_.data_dir.empty()) {
     SinkResolver resolve = [this](const std::string& name) {
       return ChannelFor(name);
     };
     if (::access(SnapshotPath().c_str(), F_OK) == 0) {
-      CEPR_RETURN_IF_ERROR(host_->Restore(SnapshotPath(), WalPath(), resolve));
+      CEPR_RETURN_IF_ERROR(
+          engine_->Restore(SnapshotPath(), WalPath(), resolve));
     } else {
       // Fresh start: open the journal and cut checkpoint 0 before serving,
       // so every later crash restores from a snapshot (never a bare WAL).
-      CEPR_RETURN_IF_ERROR(host_->OpenWal(WalPath()));
-      CEPR_RETURN_IF_ERROR(host_->Checkpoint(SnapshotPath()));
+      CEPR_RETURN_IF_ERROR(engine_->OpenWal(WalPath()));
+      CEPR_RETURN_IF_ERROR(engine_->Checkpoint(SnapshotPath()));
     }
   }
 
@@ -214,8 +152,8 @@ void CeprServer::Shutdown(bool final_checkpoint) {
 
   if (final_checkpoint && !options_.data_dir.empty()) {
     std::lock_guard<std::mutex> lk(engine_mu_);
-    host_->SyncWal();
-    host_->Checkpoint(SnapshotPath());
+    engine_->SyncWal();
+    engine_->Checkpoint(SnapshotPath());
   }
   started_ = false;
 }
@@ -259,8 +197,8 @@ void CeprServer::CheckpointLoop() {
     std::lock_guard<std::mutex> elk(engine_mu_);
     // Best-effort: a failed background checkpoint leaves the previous
     // snapshot current (the write is atomic) and the next tick retries.
-    host_->SyncWal();
-    host_->Checkpoint(SnapshotPath());
+    engine_->SyncWal();
+    engine_->Checkpoint(SnapshotPath());
   }
 }
 
@@ -268,44 +206,58 @@ void CeprServer::CheckpointLoop() {
 
 Status CeprServer::Ddl(const std::string& ddl_text) {
   std::lock_guard<std::mutex> lk(engine_mu_);
-  return host_->ExecuteDdl(ddl_text);
+  return engine_->ExecuteDdl(ddl_text);
 }
 
 Result<SchemaPtr> CeprServer::LookupStream(const std::string& stream_name) {
   std::lock_guard<std::mutex> lk(engine_mu_);
-  return host_->GetSchema(stream_name);
+  return engine_->GetSchema(stream_name);
 }
 
 Status CeprServer::PushEvent(Event event) {
   std::lock_guard<std::mutex> lk(engine_mu_);
-  return host_->Push(std::move(event));
+  return engine_->Push(std::move(event));
 }
 
 Status CeprServer::PushBatch(std::vector<Event> events) {
   std::lock_guard<std::mutex> lk(engine_mu_);
-  return host_->PushAll(std::move(events));
+  return engine_->PushAll(std::move(events));
 }
 
 Status CeprServer::Deploy(const std::string& name,
                           const std::string& query_text,
                           const QueryOptions& query_options, Session* session) {
   std::lock_guard<std::mutex> lk(engine_mu_);
+  const bool existed = channels_.count(name) > 0;
   Sink* sink = ChannelFor(name);
-  CEPR_RETURN_IF_ERROR(
-      host_->RegisterQuery(name, query_text, query_options, sink));
+  const Status s =
+      engine_->RegisterQuery(name, query_text, query_options, sink);
+  if (!s.ok()) {
+    // A failed deploy leaves no orphan channel. Keep one this call did not
+    // create (AlreadyExists: the live query's), and one the engine still
+    // holds (registered, then the WAL append failed).
+    if (!existed && !engine_->GetQueryMetrics(name).ok()) {
+      channels_.erase(name);
+    }
+    return s;
+  }
   static_cast<ResultChannel*>(sink)->Attach(session);
   return Status::OK();
 }
 
 Status CeprServer::Undeploy(const std::string& name) {
   std::lock_guard<std::mutex> lk(engine_mu_);
-  return host_->RemoveQuery(name);
+  CEPR_RETURN_IF_ERROR(engine_->RemoveQuery(name));
+  // A redeploy under the same name starts from a fresh channel: no stale
+  // `seen` count, no buffered frames of the removed query.
+  channels_.erase(name);
+  return Status::OK();
 }
 
 Result<uint64_t> CeprServer::Subscribe(const std::string& name,
                                        Session* session) {
   std::lock_guard<std::mutex> lk(engine_mu_);
-  auto metrics = host_->GetQueryMetrics(name);
+  auto metrics = engine_->GetQueryMetrics(name);
   if (!metrics.ok()) return metrics.status();
   auto* channel = static_cast<ResultChannel*>(ChannelFor(name));
   // The query's results counter persists across checkpoint/restore; what
@@ -317,18 +269,18 @@ Result<uint64_t> CeprServer::Subscribe(const std::string& name,
 
 Status CeprServer::FlushEngine() {
   std::lock_guard<std::mutex> lk(engine_mu_);
-  return host_->Flush();
+  return engine_->Flush();
 }
 
 Status CeprServer::FinishEngine() {
   std::lock_guard<std::mutex> lk(engine_mu_);
-  host_->Finish();
+  engine_->Finish();
   return Status::OK();
 }
 
 std::string CeprServer::MetricsJson() {
   std::lock_guard<std::mutex> lk(engine_mu_);
-  return host_->Snapshot().ToJson();
+  return engine_->Snapshot().ToJson();
 }
 
 Status CeprServer::CheckpointNow() {
@@ -336,8 +288,8 @@ Status CeprServer::CheckpointNow() {
   if (options_.data_dir.empty()) {
     return Status::InvalidArgument("server has no data_dir");
   }
-  CEPR_RETURN_IF_ERROR(host_->SyncWal());
-  return host_->Checkpoint(SnapshotPath());
+  CEPR_RETURN_IF_ERROR(engine_->SyncWal());
+  return engine_->Checkpoint(SnapshotPath());
 }
 
 void CeprServer::DetachSession(Session* session) {

@@ -13,7 +13,6 @@
 
 #include "net/protocol.h"
 #include "runtime/engine.h"
-#include "runtime/sharded_engine.h"
 
 namespace cepr {
 namespace net {
@@ -29,14 +28,13 @@ struct ServerOptions {
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   uint16_t port = 0;
 
-  /// 0 runs the serial Engine; N > 0 runs a ShardedEngine with N worker
-  /// shards (which rejects hot undeploy and post-start deploys — the
-  /// engine's own restrictions surface as error replies).
+  /// Execution backend: 0 runs queries inline, N > 0 on N worker shards
+  /// (which refuse hot undeploy and post-start deploys — the engine's own
+  /// capability errors surface as error replies). Overrides
+  /// engine.num_shards.
   size_t num_shards = 0;
-  /// Engine knobs for the selected mode. sharded.num_shards is overridden
-  /// by `num_shards` above.
+  /// Every other engine knob.
   EngineOptions engine;
-  ShardedEngineOptions sharded;
 
   /// Durability root. Empty disables persistence entirely; otherwise the
   /// directory must exist and the server keeps `<dir>/snapshot.ckpt` and
@@ -51,34 +49,6 @@ struct ServerOptions {
 
   /// Concurrent session cap; further connections are closed on accept.
   size_t max_sessions = 64;
-};
-
-/// Engine-facade adapter: one virtual surface over Engine / ShardedEngine
-/// so sessions and the checkpoint timer are mode-agnostic. Calls follow the
-/// engines' single-ingest-thread contract because CeprServer serializes
-/// every call under one mutex.
-class EngineHost {
- public:
-  virtual ~EngineHost() = default;
-
-  virtual Status ExecuteDdl(std::string_view ddl_text) = 0;
-  virtual Result<SchemaPtr> GetSchema(std::string_view stream_name) = 0;
-  virtual Status RegisterQuery(std::string name, std::string_view query_text,
-                               const QueryOptions& options, Sink* sink) = 0;
-  /// Unimplemented on the sharded engine.
-  virtual Status RemoveQuery(std::string_view name) = 0;
-  virtual Result<QueryMetrics> GetQueryMetrics(std::string_view name) = 0;
-  virtual Status Push(Event event) = 0;
-  virtual Status PushAll(std::vector<Event> events) = 0;
-  virtual Status Flush() = 0;
-  virtual void Finish() = 0;
-  virtual MetricsSnapshot Snapshot() = 0;
-  virtual Status OpenWal(const std::string& path) = 0;
-  virtual Status SyncWal() = 0;
-  virtual Status Checkpoint(const std::string& path) = 0;
-  virtual Status Restore(const std::string& snapshot_path,
-                         const std::string& wal_path,
-                         const SinkResolver& resolve) = 0;
 };
 
 /// Per-query result fan-out: the Sink the server registers for every
@@ -112,12 +82,12 @@ class ResultChannel : public Sink {
   uint64_t seen_ = 0;
 };
 
-/// Long-running CEPR network server: owns one engine (serial or sharded),
+/// Long-running CEPR network server: owns one engine (inline or sharded),
 /// accepts sessions speaking the net/protocol.h frame protocol, and drives
 /// durability (WAL + timer checkpoints + restore-on-start).
 ///
 /// Concurrency model: session threads and the checkpoint timer serialize
-/// every engine call through one mutex — the engines keep their
+/// every engine call through one mutex — the engine keeps its
 /// single-ingest-thread contract, sinks fire under the lock, and result
 /// frames go out through each Session's write mutex (lock order: engine
 /// mutex, then session write mutex; never the reverse).
@@ -185,10 +155,11 @@ class CeprServer {
   /// Serializes ALL engine access (sessions + checkpoint timer). Channels
   /// are mutated under it too (OnResult runs inside engine calls).
   std::mutex engine_mu_;
-  /// Declared before host_ so the engine (which holds raw Sink pointers
-  /// into the channels) is destroyed first.
+  /// Declared before engine_ so the engine (which holds raw Sink pointers
+  /// into the channels) is destroyed first. Undeploy and a failed Deploy
+  /// erase the query's channel.
   std::map<std::string, std::unique_ptr<ResultChannel>> channels_;
-  std::unique_ptr<EngineHost> host_;
+  std::unique_ptr<Engine> engine_;
 
   int listen_fd_ = -1;
   uint16_t bound_port_ = 0;

@@ -2,6 +2,8 @@
 
 #include <sys/socket.h>
 #include <unistd.h>
+
+#include <algorithm>
 #include <utility>
 
 #include "net/server.h"
@@ -100,9 +102,15 @@ std::string Session::Dispatch(const std::string& payload) {
       if (!r.Str(&stream) || !r.AtEnd()) break;
       auto schema = server_->LookupStream(stream);
       if (!schema.ok()) return EncodeReply(schema.status(), "");
-      bindings_.push_back(schema.value());
+      // Rebinding returns the existing handle (a stream's schema object is
+      // fixed for the server's life), so a looping client cannot grow the
+      // table.
+      const size_t id = static_cast<size_t>(
+          std::find(bindings_.begin(), bindings_.end(), schema.value()) -
+          bindings_.begin());
+      if (id == bindings_.size()) bindings_.push_back(schema.value());
       BinWriter w;
-      w.U32(static_cast<uint32_t>(bindings_.size() - 1));
+      w.U32(static_cast<uint32_t>(id));
       return EncodeReply(Status::OK(), w.Take());
     }
 

@@ -68,8 +68,8 @@ class Session {
   std::mutex write_mu_;
   bool write_broken_ = false;
 
-  /// Per-session stream handles: kBindStream appends, kEvent/kEventBatch
-  /// index. Serving-thread only.
+  /// Per-session stream handles: kBindStream appends each stream once,
+  /// kEvent/kEventBatch index. Serving-thread only.
   std::vector<SchemaPtr> bindings_;
   bool saw_hello_ = false;
 };

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -13,7 +14,7 @@
 #include "common/strings.h"
 #include "runtime/engine.h"
 #include "runtime/serde.h"
-#include "runtime/sharded_engine.h"
+#include "runtime/shard_backend.h"
 
 namespace cepr {
 namespace {
@@ -61,7 +62,7 @@ bool ValidatePoliciesV1(BinReader* r, uint8_t late, uint8_t shed,
   return true;
 }
 
-// -- RankedResult (the sharded engine's published/pending deques) ----------
+// -- RankedResult (the shard backend's published/pending deques) -----------
 
 void SaveRankedResult(EventInterner* in, BinWriter* w, const RankedResult& res) {
   w->I64(res.window_id);
@@ -91,8 +92,7 @@ Event RebindWalEvent(const SchemaPtr& schema, const Event& bare) {
 
 namespace ckpt {
 
-Status WriteSnapshotFile(const std::string& path, EngineKind kind,
-                         const std::string& body,
+Status WriteSnapshotFile(const std::string& path, const std::string& body,
                          const FaultInjector* injector, uint64_t attempt,
                          uint64_t* bytes_written) {
   if (body.size() > 0xFFFFFFFFull) {
@@ -102,7 +102,6 @@ Status WriteSnapshotFile(const std::string& path, EngineKind kind,
   BinWriter w;
   w.Raw(kMagic, sizeof(kMagic));
   w.U32(kVersion);
-  w.U8(static_cast<uint8_t>(kind));
   w.U32(static_cast<uint32_t>(body.size()));
   w.U32(Crc32(body.data(), body.size()));
   w.Raw(body.data(), body.size());
@@ -169,8 +168,7 @@ Status WriteSnapshotFile(const std::string& path, EngineKind kind,
   return Status::OK();
 }
 
-Result<std::string> ReadSnapshotBody(const std::string& path,
-                                     EngineKind expected_kind) {
+Result<std::string> ReadSnapshotBody(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     if (errno == ENOENT) {
@@ -187,7 +185,7 @@ Result<std::string> ReadSnapshotBody(const std::string& path,
                            "': " + ErrnoString(errno));
   }
 
-  constexpr size_t kHeaderBytes = sizeof(kMagic) + 4 + 1 + 4 + 4;
+  constexpr size_t kHeaderBytes = sizeof(kMagic) + 4 + 4 + 4;
   if (data.size() < kHeaderBytes) {
     return Status::Corrupt("snapshot '" + path + "': truncated header (" +
                            std::to_string(data.size()) + " of " +
@@ -200,9 +198,7 @@ Result<std::string> ReadSnapshotBody(const std::string& path,
   }
   BinReader header(data.data() + sizeof(kMagic), data.size() - sizeof(kMagic));
   uint32_t version = 0, body_len = 0, crc = 0;
-  uint8_t kind = 0;
   header.U32(&version);
-  header.U8(&kind);
   header.U32(&body_len);
   header.U32(&crc);
   if (version != kVersion) {
@@ -211,20 +207,9 @@ Result<std::string> ReadSnapshotBody(const std::string& path,
         std::to_string(version) + " at byte offset 8 (this build reads " +
         std::to_string(kVersion) + ")");
   }
-  if (kind > static_cast<uint8_t>(EngineKind::kSharded)) {
-    return Status::Corrupt("snapshot '" + path + "': invalid engine kind " +
-                           std::to_string(kind) + " at byte offset 12");
-  }
-  if (static_cast<EngineKind>(kind) != expected_kind) {
-    return Status::InvalidArgument(
-        "snapshot '" + path + "' was written by the " +
-        (static_cast<EngineKind>(kind) == EngineKind::kSerial ? "serial"
-                                                              : "sharded") +
-        " engine; restore it with the matching engine type");
-  }
   if (data.size() - kHeaderBytes != body_len) {
     return Status::Corrupt(
-        "snapshot '" + path + "': body length mismatch at byte offset 13 "
+        "snapshot '" + path + "': body length mismatch at byte offset 12 "
         "(header says " + std::to_string(body_len) + " bytes, file holds " +
         std::to_string(data.size() - kHeaderBytes) + ")");
   }
@@ -242,7 +227,7 @@ Result<std::string> ReadSnapshotBody(const std::string& path,
 }  // namespace ckpt
 
 // ===========================================================================
-// Serial Engine durability
+// Engine durability (the ingest front: one WAL, one snapshot prefix)
 // ===========================================================================
 
 Status Engine::OpenWal(const std::string& path) {
@@ -262,21 +247,29 @@ Status Engine::SyncWal() {
 }
 
 Status Engine::Checkpoint(const std::string& path) {
+  // The shard backend's cut: drain every shard to the end of its ring so
+  // the cell state is complete and visible to this thread.
+  if (shards_ != nullptr) CEPR_RETURN_IF_ERROR(shards_->Quiesce());
   // Records appended after this sync are past the cut and will be replayed.
   if (wal_ != nullptr) CEPR_RETURN_IF_ERROR(wal_->Sync());
   BinWriter w;
   SaveBody(&w);
   uint64_t bytes = 0;
-  CEPR_RETURN_IF_ERROR(ckpt::WriteSnapshotFile(
-      path, ckpt::EngineKind::kSerial, w.buffer(), options_.fault_injector,
-      checkpoint_attempts_++, &bytes));
-  ++durability_.checkpoints_written;
-  durability_.checkpoint_bytes = bytes;
+  CEPR_RETURN_IF_ERROR(ckpt::WriteSnapshotFile(path, w.buffer(),
+                                               options_.fault_injector,
+                                               checkpoint_attempts_++, &bytes));
+  ckpt_written_.Increment();
+  ckpt_bytes_.Store(bytes);
   return Status::OK();
 }
 
 void Engine::SaveBody(BinWriter* w) const {
   // Engine options (scalars only; the fault injector is runtime wiring).
+  // num_shards is structural: per-shard run state cannot be re-hashed, so
+  // Restore validates the constructed engine matches.
+  w->U64(static_cast<uint64_t>(options_.num_shards));
+  w->U64(static_cast<uint64_t>(options_.queue_capacity));
+  w->I64(options_.enqueue_stall_budget_ms);
   w->I64(options_.max_lateness_micros);
   w->U8(static_cast<uint8_t>(options_.late_policy));
   w->U64(static_cast<uint64_t>(options_.max_runs_per_partition));
@@ -298,27 +291,40 @@ void Engine::SaveBody(BinWriter* w) const {
   }
 
   // Engine-wide counters.
-  w->U64(events_ingested_);
-  w->U64(events_quarantined_);
-  w->U64(queries_deduped_);
+  w->U64(events_ingested_.Load());
+  w->U64(events_quarantined_.Load());
+  w->U64(queries_deduped_.Load());
   w->Bool(degraded_faults_);
-  w->U64(durability_.checkpoints_written);
-  w->U64(durability_.checkpoint_bytes);
-  w->U64(durability_.wal_records_appended);
-  w->U64(durability_.recovery_events_replayed);
+  w->U64(ckpt_written_.Load());
+  w->U64(ckpt_bytes_.Load());
+  w->U64(wal_appended_.Load());
+  w->U64(replayed_.Load());
 
-  // Queries: original registration inputs + the full pipeline state, in
-  // name order. Each query is one event-interning scope (its COW-shared
-  // events are written once and back-referenced).
-  w->U32(static_cast<uint32_t>(queries_.size()));
-  for (const auto& [key, query] : queries_) {
-    const auto rit = registrations_.find(key);
-    w->Str(query->name());
-    w->Str(rit != registrations_.end() ? rit->second.text : std::string());
-    SaveQueryOptions(w, rit != registrations_.end() ? rit->second.options
-                                                      : QueryOptions{});
+  // Query registrations (original inputs), in registration order — the
+  // shard backend's query ids.
+  std::vector<const QueryEntry*> entries;
+  for (const auto& [key, entry] : queries_) entries.push_back(&entry);
+  std::sort(entries.begin(), entries.end(),
+            [](const QueryEntry* a, const QueryEntry* b) {
+              return a->id < b->id;
+            });
+  w->U32(static_cast<uint32_t>(entries.size()));
+  for (const QueryEntry* entry : entries) {
+    w->Str(entry->name);
+    w->Str(entry->text);
+    SaveQueryOptions(w, entry->options);
+  }
+
+  if (shards_ != nullptr) {
+    shards_->SaveState(w);
+    return;
+  }
+  // Inline section: each query's full pipeline state, one event-interning
+  // scope per query (its COW-shared events are written once and
+  // back-referenced).
+  for (const QueryEntry* entry : entries) {
     EventInterner interner(w);
-    query->SaveState(&interner, w);
+    entry->running->SaveState(&interner, w);
   }
 }
 
@@ -327,13 +333,24 @@ Status Engine::LoadBody(BinReader* r, const SinkResolver& resolve,
   // Options: restored from the snapshot, except the fault injector (the
   // constructed engine's wiring survives).
   EngineOptions opts = options_;
+  uint64_t snap_shards = 0, queue_cap = 0, mrp = 0, mtr = 0;
   uint8_t late = 0, shed = 0, fault = 0;
-  uint64_t mrp = 0, mtr = 0;
-  if (!r->I64(&opts.max_lateness_micros) || !r->U8(&late) || !r->U64(&mrp) ||
+  if (!r->U64(&snap_shards) || !r->U64(&queue_cap) ||
+      !r->I64(&opts.enqueue_stall_budget_ms) ||
+      !r->I64(&opts.max_lateness_micros) || !r->U8(&late) || !r->U64(&mrp) ||
       !r->U64(&mtr) || !r->U8(&shed) || !r->U8(&fault) ||
       !r->Bool(&opts.shared_eval) || !ValidatePoliciesV1(r, late, shed, fault)) {
     return r->ToStatus("snapshot: engine options");
   }
+  if (snap_shards != options_.num_shards) {
+    return Status::InvalidArgument(
+        "snapshot was written with " + std::to_string(snap_shards) +
+        " shards but this engine has " + std::to_string(options_.num_shards) +
+        "; construct the restoring engine with num_shards = " +
+        std::to_string(snap_shards) +
+        " (per-shard run state cannot be re-hashed)");
+  }
+  opts.queue_capacity = static_cast<size_t>(queue_cap);
   opts.late_policy = static_cast<LatePolicy>(late);
   opts.max_runs_per_partition = static_cast<size_t>(mrp);
   opts.max_total_runs = static_cast<size_t>(mtr);
@@ -357,40 +374,47 @@ Status Engine::LoadBody(BinReader* r, const SinkResolver& resolve,
     }
   }
 
-  uint64_t deduped = 0, d0 = 0, d1 = 0, d2 = 0, d3 = 0;
+  uint64_t c[7] = {0};
   bool degraded = false;
-  if (!r->U64(&events_ingested_) || !r->U64(&events_quarantined_) ||
-      !r->U64(&deduped) || !r->Bool(&degraded) || !r->U64(&d0) ||
-      !r->U64(&d1) || !r->U64(&d2) || !r->U64(&d3)) {
+  if (!r->U64(&c[0]) || !r->U64(&c[1]) || !r->U64(&c[2]) ||
+      !r->Bool(&degraded) || !r->U64(&c[3]) || !r->U64(&c[4]) ||
+      !r->U64(&c[5]) || !r->U64(&c[6])) {
     return r->ToStatus("snapshot: engine counters");
   }
-  durability_.checkpoints_written = d0;
-  durability_.checkpoint_bytes = d1;
-  durability_.wal_records_appended = d2;
-  durability_.recovery_events_replayed = d3;
+  events_ingested_.Store(c[0]);
+  events_quarantined_.Store(c[1]);
+  ckpt_written_.Store(c[3]);
+  ckpt_bytes_.Store(c[4]);
+  wal_appended_.Store(c[5]);
+  replayed_.Store(c[6]);
 
+  // Re-register every query from its original inputs (plan recompiled
+  // against the restored schema), in the saved order.
   uint32_t num_queries = 0;
   if (!r->U32(&num_queries)) return r->ToStatus("snapshot: query count");
+  std::vector<std::string> names(num_queries);
   for (uint32_t i = 0; i < num_queries; ++i) {
-    std::string name, text;
+    std::string text;
     QueryOptions qopts;
-    if (!r->Str(&name) || !r->Str(&text) || !LoadQueryOptions(r, &qopts)) {
+    if (!r->Str(&names[i]) || !r->Str(&text) || !LoadQueryOptions(r, &qopts)) {
       return r->ToStatus("snapshot: query registration " + std::to_string(i));
     }
-    // Re-register from the original inputs (plan recompiled against the
-    // restored schema), then load the saved pipeline state over the fresh
-    // instance.
-    CEPR_RETURN_IF_ERROR(
-        RegisterQuery(name, text, qopts, resolve ? resolve(name) : nullptr));
-    RunningQuery* query = queries_.find(ToLower(name))->second.get();
+    CEPR_RETURN_IF_ERROR(RegisterQuery(names[i], text, qopts,
+                                       resolve ? resolve(names[i]) : nullptr));
+  }
+  // Re-registration recomputed these; the saved values are the exact ones.
+  queries_deduped_.Store(c[2]);
+  degraded_faults_ = degraded_faults_ || degraded;
+
+  if (shards_ != nullptr) return shards_->LoadState(r);
+  // Inline section: load the saved pipeline state over each fresh query.
+  for (const std::string& name : names) {
+    RunningQuery* query = queries_.find(ToLower(name))->second.running.get();
     EventUninterner uninterner(r, query->plan()->schema());
     if (!query->LoadState(&uninterner, r)) {
       return r->ToStatus("snapshot: query '" + name + "' state");
     }
   }
-  // Re-registration recomputed these; the saved values are the exact ones.
-  queries_deduped_ = deduped;
-  degraded_faults_ = degraded_faults_ || degraded;
   // The loaded registration offsets invalidate the window-group layout
   // RegisterQuery built from the fresh queries; rebuild each stream's
   // shared layer from the final state. (Group cursors restart at INT64_MIN;
@@ -403,398 +427,6 @@ Status Engine::LoadBody(BinReader* r, const SinkResolver& resolve,
 
 Status Engine::ReplayWal(const std::string& wal_path, uint64_t skip,
                          const SinkResolver& resolve) {
-  std::vector<WalRecord> records;
-  uint64_t dropped = 0;
-  CEPR_RETURN_IF_ERROR(WalReader::ReadAll(wal_path, &records, &dropped));
-  if (dropped > 0) {
-    CEPR_LOG(WARNING) << "wal replay: dropped " << dropped
-                      << " torn-tail byte(s) of '" << wal_path << "'";
-  }
-  if (records.size() < skip) {
-    return Status::Corrupt(
-        "wal '" + wal_path + "' holds " + std::to_string(records.size()) +
-        " records but the snapshot cut is " + std::to_string(skip) +
-        " (journal truncated after the checkpoint?)");
-  }
-
-  replaying_ = true;
-  durability_.recovery_events_replayed = 0;
-  Status failed = Status::OK();
-  for (size_t i = skip; i < records.size() && failed.ok(); ++i) {
-    if (options_.fault_injector != nullptr &&
-        options_.fault_injector->ShouldFire(fault_points::kRestorePartialReplay,
-                                            i - skip)) {
-      failed = Status::Unavailable(
-          "restore: injected crash after replaying " + std::to_string(i - skip) +
-          " of " + std::to_string(records.size() - skip) + " wal records");
-      break;
-    }
-    const WalRecord& rec = records[i];
-    if (rec.kind == WalRecord::Kind::kFlush) {
-      failed = Flush();
-      continue;
-    }
-    if (rec.kind == WalRecord::Kind::kSchema) {
-      BinReader pr(rec.payload);
-      auto loaded = LoadSchema(&pr);
-      if (!loaded.ok() || !pr.AtEnd()) {
-        failed = Status::Corrupt("wal replay: record " + std::to_string(i) +
-                                 " holds a malformed schema registration");
-        break;
-      }
-      failed = RegisterSchema(loaded.value());
-      continue;
-    }
-    if (rec.kind == WalRecord::Kind::kDeploy) {
-      BinReader pr(rec.payload);
-      std::string text;
-      QueryOptions qopts;
-      if (!pr.Str(&text) || !LoadQueryOptions(&pr, &qopts) || !pr.AtEnd()) {
-        failed = Status::Corrupt("wal replay: record " + std::to_string(i) +
-                                 " holds a malformed deploy of query '" +
-                                 rec.name + "'");
-        break;
-      }
-      failed = RegisterQuery(rec.name, text, qopts,
-                             resolve ? resolve(rec.name) : nullptr);
-      continue;
-    }
-    if (rec.kind == WalRecord::Kind::kUndeploy) {
-      failed = RemoveQuery(rec.name);
-      continue;
-    }
-    auto schema = GetSchema(rec.stream);
-    if (!schema.ok()) {
-      failed = Status::Corrupt("wal replay: record " + std::to_string(i) +
-                               " targets unregistered stream '" + rec.stream +
-                               "'");
-      break;
-    }
-    const Status s = Push(RebindWalEvent(schema.value(), rec.event));
-    ++durability_.recovery_events_replayed;
-    // kInvalidArgument is a reproduced late-rejection verdict: the original
-    // Push failed identically, so the engine states agree — keep replaying.
-    if (!s.ok() && s.code() != StatusCode::kInvalidArgument) failed = s;
-  }
-  replaying_ = false;
-  return failed;
-}
-
-Status Engine::Restore(const std::string& snapshot_path,
-                       const std::string& wal_path,
-                       const SinkResolver& resolve) {
-  if (!streams_.empty() || !queries_.empty() || events_ingested_ != 0 ||
-      wal_ != nullptr) {
-    return Status::InvalidArgument(
-        "Restore requires a pristine engine (no streams, no queries, nothing "
-        "ingested, no open WAL — pass the journal via wal_path)");
-  }
-  CEPR_ASSIGN_OR_RETURN(
-      std::string body,
-      ckpt::ReadSnapshotBody(snapshot_path, ckpt::EngineKind::kSerial));
-  BinReader reader(body);
-  uint64_t wal_cut = 0;
-  CEPR_RETURN_IF_ERROR(LoadBody(&reader, resolve, &wal_cut));
-  if (!reader.AtEnd()) {
-    return Status::Corrupt("snapshot '" + snapshot_path + "': " +
-                           std::to_string(reader.remaining()) +
-                           " trailing byte(s) after the engine body");
-  }
-  if (!wal_path.empty()) {
-    CEPR_RETURN_IF_ERROR(ReplayWal(wal_path, wal_cut, resolve));
-    // Reopen for continued appending: the restored engine journals new
-    // arrivals after the replayed tail.
-    auto wal = std::make_unique<WalWriter>();
-    CEPR_RETURN_IF_ERROR(wal->Open(wal_path, options_.fault_injector));
-    wal_ = std::move(wal);
-  }
-  return Status::OK();
-}
-
-// ===========================================================================
-// ShardedEngine durability
-// ===========================================================================
-
-Status ShardedEngine::OpenWal(const std::string& path) {
-  if (wal_ != nullptr) {
-    return Status::InvalidArgument("sharded engine: WAL already open at '" +
-                                   wal_->path() + "'");
-  }
-  auto wal = std::make_unique<WalWriter>();
-  CEPR_RETURN_IF_ERROR(wal->Open(path, options_.fault_injector));
-  wal_ = std::move(wal);
-  return Status::OK();
-}
-
-Status ShardedEngine::SyncWal() {
-  if (wal_ == nullptr) return Status::OK();
-  return wal_->Sync();
-}
-
-Status ShardedEngine::Checkpoint(const std::string& path) {
-  if (finished_) {
-    return Status::InvalidArgument(
-        "sharded engine is finished; checkpoint before Finish()");
-  }
-  if (wal_ != nullptr) CEPR_RETURN_IF_ERROR(wal_->Sync());
-  // The cut: drain every shard to the end of its ring so the cell state is
-  // complete and visible to this thread (window-barrier-style round trip).
-  CEPR_RETURN_IF_ERROR(Quiesce());
-  BinWriter w;
-  SaveBody(&w);
-  uint64_t bytes = 0;
-  CEPR_RETURN_IF_ERROR(ckpt::WriteSnapshotFile(
-      path, ckpt::EngineKind::kSharded, w.buffer(), options_.fault_injector,
-      checkpoint_attempts_++, &bytes));
-  ckpt_written_.Increment();
-  ckpt_bytes_.Store(bytes);
-  return Status::OK();
-}
-
-void ShardedEngine::SaveBody(BinWriter* w) const {
-  // Options scalars. num_shards is structural: per-shard run state cannot
-  // be re-hashed, so Restore validates the constructed engine matches.
-  w->U64(static_cast<uint64_t>(num_shards_));
-  w->U64(static_cast<uint64_t>(options_.queue_capacity));
-  w->I64(options_.max_lateness_micros);
-  w->U8(static_cast<uint8_t>(options_.late_policy));
-  w->I64(options_.enqueue_stall_budget_ms);
-  w->U64(static_cast<uint64_t>(options_.max_runs_per_partition));
-  w->U64(static_cast<uint64_t>(options_.max_total_runs));
-  w->U8(static_cast<uint8_t>(options_.shed_policy));
-  w->U8(static_cast<uint8_t>(options_.fault_policy));
-  w->Bool(options_.shared_eval);
-
-  w->U64(wal_ != nullptr ? wal_->records() : 0);
-
-  w->U32(static_cast<uint32_t>(streams_.size()));
-  for (const auto& [key, state] : streams_) {
-    SaveSchema(w, *state.schema);
-    w->U64(state.next_sequence);
-    state.reorder.SaveState(w);
-  }
-
-  w->U64(events_ingested_.Load());
-  w->U64(events_quarantined_.Load());
-  w->U64(queries_deduped_.Load());
-  w->Bool(query_injector_);
-  w->U64(merge_windows_.Load());
-  w->U64(merge_results_.Load());
-  w->U64(ckpt_written_.Load());
-  w->U64(ckpt_bytes_.Load());
-  w->U64(wal_appended_.Load());
-  w->U64(replayed_.Load());
-
-  // Queries (registration order) with their router-side merge state.
-  w->U32(static_cast<uint32_t>(queries_.size()));
-  for (const auto& q : queries_) {
-    w->Str(q->name);
-    w->Str(q->text);
-    SaveQueryOptions(w, q->options);
-    w->U64(q->ordinal.Load());
-    w->I64(q->current_window);
-    w->I64(q->merged_upto);
-    w->U64(q->results_delivered.Load());
-    EventInterner interner(w);
-    for (const auto& pending : q->pending) {
-      w->U32(static_cast<uint32_t>(pending.size()));
-      for (const RankedResult& res : pending) {
-        SaveRankedResult(&interner, w, res);
-      }
-    }
-  }
-
-  // Shard-side cell state, present only once workers exist. The engine is
-  // quiesced (Checkpoint's contract), so every cell write is visible and
-  // no shard thread touches its cells while we read.
-  const bool started = WorkersStarted();
-  w->Bool(started);
-  if (!started) return;
-  for (const auto& shard : shards_) {
-    for (uint32_t qi = 0; qi < queries_.size(); ++qi) {
-      w->I64(shard->acked_window[qi].load(std::memory_order_acquire));
-      EventInterner interner(w);
-      {
-        std::lock_guard<std::mutex> lock(shard->mu);
-        const auto& published = shard->published[qi];
-        w->U32(static_cast<uint32_t>(published.size()));
-        for (const RankedResult& res : published) {
-          SaveRankedResult(&interner, w, res);
-        }
-      }
-      const QueryCell& cell = shard->cells[qi];
-      cell.emitter->SaveState(&interner, w);
-      cell.matcher->SaveState(&interner, w);
-    }
-    const MetricsCell& m = shard->metrics;
-    w->U64(m.events.Load());
-    w->U64(m.matches.Load());
-    w->U64(m.barriers.Load());
-    w->U64(m.batches_published.Load());
-    w->U64(m.queue_high_water.Load());
-    w->U64(m.enqueue_stalls.Load());
-    w->U64(m.stall_us.Load());
-    w->U64(m.stalls_tripped.Load());
-    std::lock_guard<std::mutex> lock(m.mu);
-    for (const MetricsCell::Timings& t : m.timings) {
-      t.processing_ns.Save(w);
-      t.emission_delay_us.Save(w);
-    }
-  }
-}
-
-Status ShardedEngine::LoadBody(BinReader* r, const SinkResolver& resolve,
-                               uint64_t* wal_cut) {
-  ShardedEngineOptions opts = options_;
-  uint64_t snap_shards = 0, queue_cap = 0, mrp = 0, mtr = 0;
-  uint8_t late = 0, shed = 0, fault = 0;
-  if (!r->U64(&snap_shards) || !r->U64(&queue_cap) ||
-      !r->I64(&opts.max_lateness_micros) || !r->U8(&late) ||
-      !r->I64(&opts.enqueue_stall_budget_ms) || !r->U64(&mrp) ||
-      !r->U64(&mtr) || !r->U8(&shed) || !r->U8(&fault) ||
-      !r->Bool(&opts.shared_eval) || !ValidatePoliciesV1(r, late, shed, fault)) {
-    return r->ToStatus("snapshot: sharded engine options");
-  }
-  if (snap_shards != num_shards_) {
-    return Status::InvalidArgument(
-        "snapshot was written with " + std::to_string(snap_shards) +
-        " shards but this engine has " + std::to_string(num_shards_) +
-        "; construct the restoring engine with num_shards = " +
-        std::to_string(snap_shards) +
-        " (per-shard run state cannot be re-hashed)");
-  }
-  opts.num_shards = options_.num_shards;  // constructed value, already equal
-  opts.queue_capacity = static_cast<size_t>(queue_cap);
-  opts.late_policy = static_cast<LatePolicy>(late);
-  opts.max_runs_per_partition = static_cast<size_t>(mrp);
-  opts.max_total_runs = static_cast<size_t>(mtr);
-  opts.shed_policy = static_cast<ShedPolicy>(shed);
-  opts.fault_policy = static_cast<FaultPolicy>(fault);
-  options_ = opts;
-
-  if (!r->U64(wal_cut)) return r->ToStatus("snapshot: wal cut");
-
-  uint32_t num_streams = 0;
-  if (!r->U32(&num_streams)) return r->ToStatus("snapshot: stream count");
-  for (uint32_t i = 0; i < num_streams; ++i) {
-    CEPR_ASSIGN_OR_RETURN(SchemaPtr schema, LoadSchema(r));
-    CEPR_RETURN_IF_ERROR(RegisterSchema(schema));
-    StreamState& state = streams_.find(ToLower(schema->name()))->second;
-    if (!r->U64(&state.next_sequence) ||
-        !state.reorder.LoadState(r, state.schema)) {
-      return r->ToStatus("snapshot: stream '" + schema->name() + "'");
-    }
-  }
-
-  uint64_t ingested = 0, quarantined = 0, deduped = 0, mw = 0, mr = 0;
-  uint64_t d0 = 0, d1 = 0, d2 = 0, d3 = 0;
-  bool qinj = false;
-  if (!r->U64(&ingested) || !r->U64(&quarantined) || !r->U64(&deduped) ||
-      !r->Bool(&qinj) || !r->U64(&mw) || !r->U64(&mr) || !r->U64(&d0) ||
-      !r->U64(&d1) || !r->U64(&d2) || !r->U64(&d3)) {
-    return r->ToStatus("snapshot: sharded engine counters");
-  }
-  events_ingested_.Store(ingested);
-  events_quarantined_.Store(quarantined);
-  merge_windows_.Store(mw);
-  merge_results_.Store(mr);
-  ckpt_written_.Store(d0);
-  ckpt_bytes_.Store(d1);
-  wal_appended_.Store(d2);
-  replayed_.Store(d3);
-
-  uint32_t num_queries = 0;
-  if (!r->U32(&num_queries)) return r->ToStatus("snapshot: query count");
-  for (uint32_t qi = 0; qi < num_queries; ++qi) {
-    std::string name, text;
-    QueryOptions qopts;
-    if (!r->Str(&name) || !r->Str(&text) || !LoadQueryOptions(r, &qopts)) {
-      return r->ToStatus("snapshot: query registration " +
-                         std::to_string(qi));
-    }
-    CEPR_RETURN_IF_ERROR(
-        RegisterQuery(name, text, qopts, resolve ? resolve(name) : nullptr));
-    QueryState& q = *queries_[qi];
-    uint64_t ordinal = 0, delivered = 0;
-    if (!r->U64(&ordinal) || !r->I64(&q.current_window) ||
-        !r->I64(&q.merged_upto) || !r->U64(&delivered)) {
-      return r->ToStatus("snapshot: query '" + name + "' router state");
-    }
-    q.ordinal.Store(ordinal);
-    q.results_delivered.Store(delivered);
-    EventUninterner uninterner(r, q.plan->schema());
-    for (size_t s = 0; s < num_shards_; ++s) {
-      uint32_t n = 0;
-      if (!r->U32(&n)) return r->ToStatus("snapshot: query pending count");
-      for (uint32_t j = 0; j < n; ++j) {
-        RankedResult res;
-        if (!LoadRankedResult(&uninterner, r, &res)) {
-          return r->ToStatus("snapshot: query '" + name + "' pending results");
-        }
-        q.pending[s].push_back(std::move(res));
-      }
-    }
-  }
-  // Re-registration recomputed these; the saved values are the exact ones.
-  queries_deduped_.Store(deduped);
-  query_injector_ = query_injector_ || qinj;
-
-  bool started = false;
-  if (!r->Bool(&started)) return r->ToStatus("snapshot: worker flag");
-  if (started) {
-    // Build the cells on this thread, load their state, then spawn the
-    // workers — std::thread creation publishes all prior writes to the new
-    // threads.
-    BuildShards();
-    for (auto& shard : shards_) {
-      for (uint32_t qi = 0; qi < queries_.size(); ++qi) {
-        int64_t acked = 0;
-        if (!r->I64(&acked)) return r->ToStatus("snapshot: shard ack");
-        shard->acked_window[qi].store(acked, std::memory_order_relaxed);
-        EventUninterner uninterner(r, queries_[qi]->plan->schema());
-        uint32_t n = 0;
-        if (!r->U32(&n)) return r->ToStatus("snapshot: shard publish count");
-        for (uint32_t j = 0; j < n; ++j) {
-          RankedResult res;
-          if (!LoadRankedResult(&uninterner, r, &res)) {
-            return r->ToStatus("snapshot: shard published results");
-          }
-          shard->published[qi].push_back(std::move(res));
-        }
-        QueryCell& cell = shard->cells[qi];
-        if (!cell.emitter->LoadState(&uninterner, r) ||
-            !cell.matcher->LoadState(&uninterner, r)) {
-          return r->ToStatus("snapshot: shard " +
-                             std::to_string(shard->index) + " query '" +
-                             queries_[qi]->name + "' cell state");
-        }
-      }
-      MetricsCell& m = shard->metrics;
-      uint64_t c[8] = {0};
-      for (auto& v : c) {
-        if (!r->U64(&v)) return r->ToStatus("snapshot: shard metrics");
-      }
-      m.events.Store(c[0]);
-      m.matches.Store(c[1]);
-      m.barriers.Store(c[2]);
-      m.batches_published.Store(c[3]);
-      m.queue_high_water.Store(c[4]);
-      m.enqueue_stalls.Store(c[5]);
-      m.stall_us.Store(c[6]);
-      m.stalls_tripped.Store(c[7]);
-      for (MetricsCell::Timings& t : m.timings) {
-        if (!t.processing_ns.Load(r) || !t.emission_delay_us.Load(r)) {
-          return r->ToStatus("snapshot: shard latency histograms");
-        }
-      }
-    }
-    SpawnWorkers();
-  }
-  return r->ToStatus("snapshot: sharded engine body");
-}
-
-Status ShardedEngine::ReplayWal(const std::string& wal_path, uint64_t skip,
-                                const SinkResolver& resolve) {
   std::vector<WalRecord> records;
   uint64_t dropped = 0;
   CEPR_RETURN_IF_ERROR(WalReader::ReadAll(wal_path, &records, &dropped));
@@ -852,12 +484,8 @@ Status ShardedEngine::ReplayWal(const std::string& wal_path, uint64_t skip,
       continue;
     }
     if (rec.kind == WalRecord::Kind::kUndeploy) {
-      // The sharded engine has no RemoveQuery; its WAL never holds one.
-      failed = Status::Corrupt("wal replay: record " + std::to_string(i) +
-                               " undeploys query '" + rec.name +
-                               "' but the sharded engine cannot remove "
-                               "queries");
-      break;
+      failed = RemoveQuery(rec.name);
+      continue;
     }
     auto schema = GetSchema(rec.stream);
     if (!schema.ok()) {
@@ -868,24 +496,25 @@ Status ShardedEngine::ReplayWal(const std::string& wal_path, uint64_t skip,
     }
     const Status s = Push(RebindWalEvent(schema.value(), rec.event));
     replayed_.Increment();
+    // kInvalidArgument is a reproduced late-rejection verdict: the original
+    // Push failed identically, so the engine states agree — keep replaying.
     if (!s.ok() && s.code() != StatusCode::kInvalidArgument) failed = s;
   }
   replaying_ = false;
   return failed;
 }
 
-Status ShardedEngine::Restore(const std::string& snapshot_path,
-                              const std::string& wal_path,
-                              const SinkResolver& resolve) {
-  if (!streams_.empty() || !queries_.empty() || WorkersStarted() ||
-      events_ingested_.Load() != 0 || wal_ != nullptr) {
+Status Engine::Restore(const std::string& snapshot_path,
+                       const std::string& wal_path,
+                       const SinkResolver& resolve) {
+  if (!streams_.empty() || !queries_.empty() || events_ingested_.Load() != 0 ||
+      wal_ != nullptr) {
     return Status::InvalidArgument(
-        "Restore requires a pristine sharded engine (no streams, no queries, "
-        "workers not started, no open WAL — pass the journal via wal_path)");
+        "Restore requires a pristine engine (no streams, no queries, nothing "
+        "ingested, no open WAL — pass the journal via wal_path)");
   }
-  CEPR_ASSIGN_OR_RETURN(
-      std::string body,
-      ckpt::ReadSnapshotBody(snapshot_path, ckpt::EngineKind::kSharded));
+  CEPR_ASSIGN_OR_RETURN(std::string body,
+                        ckpt::ReadSnapshotBody(snapshot_path));
   BinReader reader(body);
   uint64_t wal_cut = 0;
   CEPR_RETURN_IF_ERROR(LoadBody(&reader, resolve, &wal_cut));
@@ -896,11 +525,157 @@ Status ShardedEngine::Restore(const std::string& snapshot_path,
   }
   if (!wal_path.empty()) {
     CEPR_RETURN_IF_ERROR(ReplayWal(wal_path, wal_cut, resolve));
+    // Reopen for continued appending: the restored engine journals new
+    // arrivals after the replayed tail.
     auto wal = std::make_unique<WalWriter>();
     CEPR_RETURN_IF_ERROR(wal->Open(wal_path, options_.fault_injector));
     wal_ = std::move(wal);
   }
   return Status::OK();
+}
+
+// ===========================================================================
+// Shard backend section
+// ===========================================================================
+
+void Engine::ShardBackend::SaveState(BinWriter* w) const {
+  w->U64(merge_windows_.Load());
+  w->U64(merge_results_.Load());
+
+  // Router-side merge state, per query (id order).
+  for (const auto& q : queries_) {
+    w->U64(q->ordinal.Load());
+    w->I64(q->current_window);
+    w->I64(q->merged_upto);
+    w->U64(q->results_delivered.Load());
+    EventInterner interner(w);
+    for (const auto& pending : q->pending) {
+      w->U32(static_cast<uint32_t>(pending.size()));
+      for (const RankedResult& res : pending) {
+        SaveRankedResult(&interner, w, res);
+      }
+    }
+  }
+
+  // Shard-side cell state, present only once workers exist. The engine is
+  // quiesced (Checkpoint's contract), so every cell write is visible and
+  // no shard thread touches its cells while we read.
+  w->Bool(started());
+  if (!started()) return;
+  for (const auto& shard : shards_) {
+    for (uint32_t qi = 0; qi < queries_.size(); ++qi) {
+      w->I64(shard->acked_window[qi].load(std::memory_order_acquire));
+      EventInterner interner(w);
+      {
+        std::lock_guard<std::mutex> lock(shard->mu);
+        const auto& published = shard->published[qi];
+        w->U32(static_cast<uint32_t>(published.size()));
+        for (const RankedResult& res : published) {
+          SaveRankedResult(&interner, w, res);
+        }
+      }
+      const QueryCell& cell = shard->cells[qi];
+      cell.emitter->SaveState(&interner, w);
+      cell.matcher->SaveState(&interner, w);
+    }
+    const MetricsCell& m = shard->metrics;
+    w->U64(m.events.Load());
+    w->U64(m.matches.Load());
+    w->U64(m.barriers.Load());
+    w->U64(m.batches_published.Load());
+    w->U64(m.queue_high_water.Load());
+    w->U64(m.enqueue_stalls.Load());
+    w->U64(m.stall_us.Load());
+    w->U64(m.stalls_tripped.Load());
+    std::lock_guard<std::mutex> lock(m.mu);
+    for (const MetricsCell::Timings& t : m.timings) {
+      t.processing_ns.Save(w);
+      t.emission_delay_us.Save(w);
+    }
+  }
+}
+
+Status Engine::ShardBackend::LoadState(BinReader* r) {
+  uint64_t mw = 0, mr = 0;
+  if (!r->U64(&mw) || !r->U64(&mr)) {
+    return r->ToStatus("snapshot: merge counters");
+  }
+  merge_windows_.Store(mw);
+  merge_results_.Store(mr);
+
+  for (auto& q : queries_) {
+    uint64_t ordinal = 0, delivered = 0;
+    if (!r->U64(&ordinal) || !r->I64(&q->current_window) ||
+        !r->I64(&q->merged_upto) || !r->U64(&delivered)) {
+      return r->ToStatus("snapshot: query '" + q->name + "' router state");
+    }
+    q->ordinal.Store(ordinal);
+    q->results_delivered.Store(delivered);
+    EventUninterner uninterner(r, q->plan->schema());
+    for (auto& pending : q->pending) {
+      uint32_t n = 0;
+      if (!r->U32(&n)) return r->ToStatus("snapshot: query pending count");
+      for (uint32_t j = 0; j < n; ++j) {
+        RankedResult res;
+        if (!LoadRankedResult(&uninterner, r, &res)) {
+          return r->ToStatus("snapshot: query '" + q->name +
+                             "' pending results");
+        }
+        pending.push_back(std::move(res));
+      }
+    }
+  }
+
+  bool was_started = false;
+  if (!r->Bool(&was_started)) return r->ToStatus("snapshot: worker flag");
+  if (!was_started) return r->ToStatus("snapshot: shard section");
+  // Build the cells on this thread, load their state, then spawn the
+  // workers — std::thread creation publishes all prior writes to the new
+  // threads.
+  BuildShards();
+  for (auto& shard : shards_) {
+    for (uint32_t qi = 0; qi < queries_.size(); ++qi) {
+      int64_t acked = 0;
+      if (!r->I64(&acked)) return r->ToStatus("snapshot: shard ack");
+      shard->acked_window[qi].store(acked, std::memory_order_relaxed);
+      EventUninterner uninterner(r, queries_[qi]->plan->schema());
+      uint32_t n = 0;
+      if (!r->U32(&n)) return r->ToStatus("snapshot: shard publish count");
+      for (uint32_t j = 0; j < n; ++j) {
+        RankedResult res;
+        if (!LoadRankedResult(&uninterner, r, &res)) {
+          return r->ToStatus("snapshot: shard published results");
+        }
+        shard->published[qi].push_back(std::move(res));
+      }
+      QueryCell& cell = shard->cells[qi];
+      if (!cell.emitter->LoadState(&uninterner, r) ||
+          !cell.matcher->LoadState(&uninterner, r)) {
+        return r->ToStatus("snapshot: shard " + std::to_string(shard->index) +
+                           " query '" + queries_[qi]->name + "' cell state");
+      }
+    }
+    MetricsCell& m = shard->metrics;
+    uint64_t c[8] = {0};
+    for (auto& v : c) {
+      if (!r->U64(&v)) return r->ToStatus("snapshot: shard metrics");
+    }
+    m.events.Store(c[0]);
+    m.matches.Store(c[1]);
+    m.barriers.Store(c[2]);
+    m.batches_published.Store(c[3]);
+    m.queue_high_water.Store(c[4]);
+    m.enqueue_stalls.Store(c[5]);
+    m.stall_us.Store(c[6]);
+    m.stalls_tripped.Store(c[7]);
+    for (MetricsCell::Timings& t : m.timings) {
+      if (!t.processing_ns.Load(r) || !t.emission_delay_us.Load(r)) {
+        return r->ToStatus("snapshot: shard latency histograms");
+      }
+    }
+  }
+  SpawnWorkers();
+  return r->ToStatus("snapshot: shard section");
 }
 
 }  // namespace cepr

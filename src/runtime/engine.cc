@@ -8,10 +8,15 @@
 #include "lang/parser.h"
 #include "plan/compiler.h"
 #include "runtime/serde.h"
+#include "runtime/shard_backend.h"
 
 namespace cepr {
 
-Engine::Engine(EngineOptions options) : options_(options) {}
+Engine::Engine(EngineOptions options) : options_(options) {
+  if (options_.num_shards > 0) shards_ = std::make_unique<ShardBackend>(this);
+}
+
+Engine::~Engine() = default;
 
 Status Engine::ExecuteDdl(std::string_view ddl_text) {
   CEPR_ASSIGN_OR_RETURN(CreateStreamAst ast, ParseCreateStream(ddl_text));
@@ -39,7 +44,7 @@ Status Engine::RegisterSchema(SchemaPtr schema) {
     BinWriter blob;
     SaveSchema(&blob, *it->second.schema);
     CEPR_RETURN_IF_ERROR(wal_->AppendSchema(blob.buffer()));
-    ++durability_.wal_records_appended;
+    wal_appended_.Increment();
   }
   return Status::OK();
 }
@@ -77,6 +82,7 @@ std::vector<std::string> Engine::StreamNames() const {
 
 Status Engine::RegisterQuery(std::string name, std::string_view query_text,
                              const QueryOptions& options, Sink* sink) {
+  if (shards_ != nullptr) CEPR_RETURN_IF_ERROR(shards_->CheckNotStarted());
   const std::string key = ToLower(name);
   if (queries_.count(key) > 0) {
     return Status::AlreadyExists("query '" + name + "' is already registered");
@@ -87,7 +93,9 @@ Status Engine::RegisterQuery(std::string name, std::string_view query_text,
   CEPR_ASSIGN_OR_RETURN(CompiledQueryPtr plan, Compile(std::move(analyzed)));
 
   RunningQuery::ForwardFn forward;
-  if (!plan->into_stream.empty()) {
+  if (shards_ != nullptr) {
+    CEPR_RETURN_IF_ERROR(ShardBackend::CheckPlan(*plan));
+  } else if (!plan->into_stream.empty()) {
     if (EqualsIgnoreCase(plan->into_stream, plan->schema()->name())) {
       return Status::InvalidArgument(
           "EMIT INTO cannot target the query's own input stream");
@@ -99,38 +107,53 @@ Status Engine::RegisterQuery(std::string name, std::string_view query_text,
   effective.matcher = MergeEngineCaps(
       options.matcher, options_.max_runs_per_partition, options_.max_total_runs,
       options_.shed_policy, options_.fault_policy, options_.fault_injector);
-  auto running = std::make_unique<RunningQuery>(std::move(name), plan,
-                                                effective, sink,
-                                                std::move(forward), &live_runs_);
+  std::shared_ptr<const NfaTemplate> nfa_template;
   if (options_.shared_eval) {
     bool deduped = false;
-    running->set_nfa_template(template_registry_.Intern(*plan, &deduped));
-    if (deduped) ++queries_deduped_;
-    if (effective.matcher.fault_injector != nullptr) {
-      // Injected fault schedules count matcher visits; only full per-query
-      // visits reproduce the per-query path's positions exactly.
-      degraded_faults_ = true;
-    }
-    StreamState* stream = StreamOf(plan);
-    running->BindSharedStream(&stream->next_sequence, stream->next_sequence);
-    queries_.emplace(key, std::move(running));
-    RebuildSharedStream(*stream);
-  } else {
-    queries_.emplace(key, std::move(running));
+    nfa_template = template_registry_.Intern(*plan, &deduped);
+    if (deduped) queries_deduped_.Increment();
+    // Injected fault schedules count matcher visits; only full per-query
+    // visits reproduce the per-query path's positions exactly. The shard
+    // backend counts the engine's own injector in shared_eval_active().
+    const MatcherOptions& armed =
+        shards_ != nullptr ? options.matcher : effective.matcher;
+    if (armed.fault_injector != nullptr) degraded_faults_ = true;
   }
+
+  QueryEntry& entry = queries_[key];
+  entry.name = name;
   // Keep the original (pre-merge) registration inputs: a checkpoint stores
   // them so Restore can re-register the query under its own engine caps.
-  registrations_.insert_or_assign(
-      key, QueryRegistration{std::string(query_text), options});
+  entry.text = std::string(query_text);
+  entry.options = options;
+  entry.id = next_query_id_++;
+  if (shards_ != nullptr) {
+    // Index the query's entry predicates on its stream, keyed by query id.
+    if (options_.shared_eval) {
+      StreamOf(plan)->shared.index.AddQuery(entry.id, plan.get());
+    }
+    shards_->AddQuery(entry.id, std::move(name), plan, effective, sink,
+                      std::move(nfa_template));
+  } else {
+    entry.running = std::make_unique<RunningQuery>(
+        std::move(name), plan, effective, sink, std::move(forward),
+        &live_runs_);
+    if (options_.shared_eval) {
+      entry.running->set_nfa_template(std::move(nfa_template));
+      StreamState* stream = StreamOf(plan);
+      entry.running->BindSharedStream(&stream->next_sequence,
+                                      stream->next_sequence);
+      RebuildSharedStream(*stream);
+    }
+  }
   // Journal the deploy (pre-merge options, like the snapshot) so a hot
   // deploy between checkpoints survives a crash at its stream position.
   if (wal_ != nullptr && !replaying_) {
     BinWriter blob;
-    blob.Str(std::string(query_text));
+    blob.Str(entry.text);
     SaveQueryOptions(&blob, options);
-    CEPR_RETURN_IF_ERROR(
-        wal_->AppendDeploy(queries_.find(key)->second->name(), blob.buffer()));
-    ++durability_.wal_records_appended;
+    CEPR_RETURN_IF_ERROR(wal_->AppendDeploy(entry.name, blob.buffer()));
+    wal_appended_.Increment();
   }
   return Status::OK();
 }
@@ -149,9 +172,10 @@ void Engine::RebuildSharedStream(StreamState& state) {
   // queries_ is name-ordered, so slots come out name-sorted: the predicate
   // index's ascending-slot candidate lists are already in visit order.
   uint32_t slot = 0;
-  for (auto& [key, query] : queries_) {
+  for (auto& [key, entry] : queries_) {
+    RunningQuery* query = entry.running.get();
     if (query->plan()->schema() != state.schema) continue;
-    sh.by_slot.push_back(query.get());
+    sh.by_slot.push_back(query);
     sh.index.AddQuery(slot, query->plan().get());
     if (query->active_runs() > 0) sh.hot.insert(slot);
     const ReportWindowAssigner& w = query->emitter().windows();
@@ -223,21 +247,21 @@ Result<RunningQuery::ForwardFn> Engine::MakeForwarder(
 }
 
 Status Engine::RemoveQuery(std::string_view name) {
+  if (shards_ != nullptr) return ShardBackend::CheckRemove();
   const auto it = queries_.find(ToLower(name));
   if (it == queries_.end()) {
     return Status::NotFound("no query named '" + std::string(name) + "'");
   }
-  it->second->Finish();
+  it->second.running->Finish();
   StreamState* stream =
-      options_.shared_eval ? StreamOf(it->second->plan()) : nullptr;
+      options_.shared_eval ? StreamOf(it->second.running->plan()) : nullptr;
   // Erasing drops the query's template reference: the last sharer of a
   // signature frees the interned NfaTemplate (weak registry entry).
-  registrations_.erase(ToLower(name));
   queries_.erase(it);
   if (stream != nullptr) RebuildSharedStream(*stream);
   if (wal_ != nullptr && !replaying_) {
     CEPR_RETURN_IF_ERROR(wal_->AppendUndeploy(std::string(name)));
-    ++durability_.wal_records_appended;
+    wal_appended_.Increment();
   }
   return Status::OK();
 }
@@ -247,43 +271,80 @@ Result<const RunningQuery*> Engine::GetQuery(std::string_view name) const {
   if (it == queries_.end()) {
     return Status::NotFound("no query named '" + std::string(name) + "'");
   }
-  return static_cast<const RunningQuery*>(it->second.get());
+  if (it->second.running == nullptr) {
+    return Status::Unimplemented(
+        "the shard backend keeps one cell per shard; use GetQueryMetrics");
+  }
+  return static_cast<const RunningQuery*>(it->second.running.get());
 }
 
 std::vector<std::string> Engine::QueryNames() const {
   std::vector<std::string> names;
   names.reserve(queries_.size());
-  for (const auto& [key, query] : queries_) names.push_back(query->name());
+  for (const auto& [key, entry] : queries_) names.push_back(entry.name);
   return names;
 }
 
 Result<QueryMetrics> Engine::GetQueryMetrics(std::string_view name) const {
-  CEPR_ASSIGN_OR_RETURN(const RunningQuery* query, GetQuery(name));
-  return query->metrics();
+  const auto it = queries_.find(ToLower(name));
+  if (it == queries_.end()) {
+    return Status::NotFound("no query named '" + std::string(name) + "'");
+  }
+  if (shards_ != nullptr) return shards_->AggregateQueryMetrics(it->second.id);
+  return it->second.running->metrics();
 }
 
 MetricsSnapshot Engine::Snapshot() const {
   MetricsSnapshot snap;
-  snap.events_ingested = events_ingested_;
-  snap.events_quarantined = events_quarantined_;
+  snap.events_ingested = events_ingested_.Load();
+  snap.events_quarantined = events_quarantined_.Load();
   snap.sharing.shared_eval = shared_eval_active();
-  snap.sharing.queries_deduped = queries_deduped_;
+  snap.sharing.queries_deduped = queries_deduped_.Load();
   snap.sharing.live_templates = template_registry_.live_templates();
+  // Reorder and index counters are single-writer atomics, so a monitor
+  // thread may read them mid-stream (streams_ itself is not mutated after
+  // the shard backend's registration phase).
   for (const auto& [key, state] : streams_) {
     snap.reorder.Accumulate(state.reorder.stats());
     snap.sharing.predindex_probes += state.shared.index.probes();
     snap.sharing.predindex_candidates += state.shared.index.candidates();
     snap.sharing.shared_window_buffers += state.shared.window_groups.size();
   }
-  snap.num_shards = 1;
-  snap.durability = durability_;
+  snap.durability = durability();
+  if (shards_ != nullptr) {
+    shards_->FillSnapshot(&snap);
+    return snap;
+  }
   snap.queries.reserve(queries_.size());
-  for (const auto& [key, query] : queries_) {
+  for (const auto& [key, entry] : queries_) {
+    const RunningQuery& query = *entry.running;
     snap.sharing.bytecode_compiled_preds += static_cast<uint64_t>(
-        query->plan()->num_bytecode_programs);
-    snap.queries.push_back({query->name(), query->metrics()});
+        query.plan()->num_bytecode_programs);
+    snap.queries.push_back({query.name(), query.metrics()});
   }
   return snap;
+}
+
+DurabilityStats Engine::durability() const {
+  DurabilityStats d;
+  d.checkpoints_written = ckpt_written_.Load();
+  d.checkpoint_bytes = ckpt_bytes_.Load();
+  d.wal_records_appended = wal_appended_.Load();
+  d.recovery_events_replayed = replayed_.Load();
+  return d;
+}
+
+Status Engine::first_fault() const {
+  return shards_ != nullptr ? shards_->first_fault() : Status::OK();
+}
+
+std::vector<ShardStats> Engine::shard_stats() const {
+  return shards_ != nullptr ? shards_->shard_stats()
+                            : std::vector<ShardStats>{};
+}
+
+MergeStats Engine::merge_stats() const {
+  return shards_ != nullptr ? shards_->merge_stats() : MergeStats{};
 }
 
 Result<Engine::StreamState*> Engine::OfferEvent(Event event,
@@ -317,7 +378,7 @@ Result<Engine::StreamState*> Engine::OfferEvent(Event event,
   // process and the recovered one agree the arrival never happened.
   if (wal_ != nullptr && !replaying_ && push_depth_ == 0) {
     CEPR_RETURN_IF_ERROR(wal_->AppendEvent(state.schema->name(), event));
-    ++durability_.wal_records_appended;
+    wal_appended_.Increment();
   }
 
   const Timestamp offered_ts = event.timestamp();
@@ -342,6 +403,8 @@ Result<Engine::StreamState*> Engine::OfferEvent(Event event,
 }
 
 Status Engine::Push(Event event) {
+  // The one backend branch on the inline per-event path.
+  if (shards_ != nullptr) return shards_->Push(std::move(event));
   std::vector<Event> released;
   CEPR_ASSIGN_OR_RETURN(StreamState * state,
                         OfferEvent(std::move(event), &released));
@@ -350,8 +413,7 @@ Status Engine::Push(Event event) {
 
 Status Engine::Route(StreamState& state, std::vector<Event> released) {
   for (Event& event : released) {
-    event.set_sequence(state.next_sequence++);
-    ++events_ingested_;
+    Stamp(state, event);
 
     if (push_depth_ >= kMaxPushDepth) {
       return Status::InvalidArgument(
@@ -360,8 +422,10 @@ Status Engine::Route(StreamState& state, std::vector<Event> released) {
     }
     ++push_depth_;
     const auto shared = std::make_shared<const Event>(std::move(event));
-    const Status s = shared_eval_active() ? RouteShared(state, shared)
-                                          : RouteAll(state, shared);
+    // shared_eval_active() without its shard-backend term.
+    const Status s = options_.shared_eval && !degraded_faults_
+                         ? RouteShared(state, shared)
+                         : RouteAll(state, shared);
     --push_depth_;
     // Only kFailFast faults surface here (kSkipAndCount is contained
     // inside the matcher); the event was ingested, the stream stops.
@@ -371,7 +435,8 @@ Status Engine::Route(StreamState& state, std::vector<Event> released) {
 }
 
 Status Engine::RouteAll(StreamState& state, const EventPtr& event) {
-  for (auto& [key, query] : queries_) {
+  for (auto& [key, entry] : queries_) {
+    RunningQuery* query = entry.running.get();
     if (query->plan()->schema() != state.schema) continue;
     Status s;
     if (options_.shared_eval) {
@@ -488,18 +553,21 @@ Status Engine::RouteShared(StreamState& state, const EventPtr& event) {
 }
 
 Status Engine::Flush() {
+  if (shards_ != nullptr) CEPR_RETURN_IF_ERROR(shards_->CheckNotFinished());
   // A flush moves the release frontier, so replay must reproduce it at the
   // same journal position (Finish's flush rounds included — the markers are
   // idempotent against drained buffers).
   if (wal_ != nullptr && !replaying_) {
     CEPR_RETURN_IF_ERROR(wal_->AppendFlush());
-    ++durability_.wal_records_appended;
+    wal_appended_.Increment();
   }
   for (auto& [key, state] : streams_) {
     if (state.reorder.resident() == 0) continue;
     std::vector<Event> released;
     state.reorder.Flush(&released);
-    CEPR_RETURN_IF_ERROR(Route(state, std::move(released)));
+    CEPR_RETURN_IF_ERROR(shards_ != nullptr
+                             ? shards_->Route(state, std::move(released))
+                             : Route(state, std::move(released)));
   }
   return Status::OK();
 }
@@ -508,8 +576,12 @@ Status Engine::PushAll(std::vector<Event> events) {
   for (size_t i = 0; i < events.size(); ++i) {
     const Status s = Push(std::move(events[i]));
     if (s.ok()) continue;
-    if (options_.fault_policy == FaultPolicy::kSkipAndCount) {
-      ++events_quarantined_;
+    // Contained per-event failure: count it and keep the batch flowing. A
+    // tripped shard stall budget (kUnavailable) is an engine-level outage,
+    // not a poison event — it always surfaces.
+    if (options_.fault_policy == FaultPolicy::kSkipAndCount &&
+        (shards_ == nullptr || s.code() != StatusCode::kUnavailable)) {
+      events_quarantined_.Increment();
       continue;
     }
     return Status(s.code(), "PushAll: event at index " + std::to_string(i) +
@@ -521,20 +593,24 @@ Status Engine::PushAll(std::vector<Event> events) {
 }
 
 void Engine::Finish() {
+  if (shards_ != nullptr) {
+    shards_->Finish();
+    return;
+  }
   // Flushing a query may forward results into derived streams, waking
   // downstream queries that may themselves need another flush; iterate to a
   // fixpoint (bounded by the composition-depth cap). Each round first
   // drains the reorder buffers so resident (still-unreleased) events reach
   // the queries before their windows close.
   for (int round = 0; round <= kMaxPushDepth; ++round) {
-    const uint64_t before = events_ingested_;
+    const uint64_t before = events_ingested_.Load();
     const Status flushed = Flush();
     if (!flushed.ok()) {
       CEPR_LOG(WARNING) << "Finish: reorder flush failed: "
                         << flushed.ToString();
     }
-    for (auto& [key, query] : queries_) query->Finish();
-    if (events_ingested_ == before) return;
+    for (auto& [key, entry] : queries_) entry.running->Finish();
+    if (events_ingested_.Load() == before) return;
   }
 }
 

@@ -13,8 +13,8 @@
 
 namespace cepr {
 
-/// Per-query runtime metrics, maintained by RunningQuery (serial engine) or
-/// aggregated across shards (sharded engine) and read by the monitor
+/// Per-query runtime metrics, maintained by RunningQuery (inline backend) or
+/// aggregated across shards (shard backend) and read by the monitor
 /// example, tests and benchmarks. Plain-value snapshot type.
 struct QueryMetrics {
   /// Events routed to this query.
@@ -27,7 +27,7 @@ struct QueryMetrics {
   Histogram event_processing_ns;
   /// Event-time delay between a match's last event and its emission point
   /// (microseconds); 0 for eager emission, up to a window span for
-  /// buffered emission. In the sharded engine this is recorded at the
+  /// buffered emission. On the shard backend this is recorded at the
   /// shard-local emission point, before the merge stage cuts to LIMIT.
   Histogram emission_delay_us;
   /// Snapshot of the matcher counters (runs created/pruned/...).
@@ -121,7 +121,7 @@ struct DurabilityStats {
   std::string ToJson() const;
 };
 
-/// Engine-wide counters of the sharded engine's merge stage.
+/// Engine-wide counters of the shard backend's merge stage.
 struct MergeStats {
   /// Report windows combined across shards.
   uint64_t windows_merged = 0;
@@ -169,13 +169,12 @@ struct MetricsCell {
   ShardStats Snapshot() const;
 };
 
-/// One coherent view of an engine's counters, taken by
-/// Engine::Snapshot() / ShardedEngine::Snapshot(). On the sharded engine it
-/// may be taken from a monitor thread while the ingest and shard threads
-/// are running: every counter is exact at some instant during the call
-/// (per-counter atomic), while relations *between* counters (e.g.
-/// shard events vs. query events) are approximately consistent and become
-/// exact once Finish() has returned.
+/// One coherent view of an engine's counters, taken by Engine::Snapshot().
+/// On the shard backend it may be taken from a monitor thread while the
+/// ingest and shard threads are running: every counter is exact at some
+/// instant during the call (per-counter atomic), while relations *between*
+/// counters (e.g. shard events vs. query events) are approximately
+/// consistent and become exact once Finish() has returned.
 struct MetricsSnapshot {
   /// Total events the engine accepted.
   uint64_t events_ingested = 0;
@@ -187,7 +186,7 @@ struct MetricsSnapshot {
   /// reorder buffer (counts summed; reorder_buffer_peak is the deepest any
   /// single stream's buffer got). See runtime/reorder.h.
   ReorderStats reorder;
-  /// Worker shard count (1 for the serial engine).
+  /// Worker shard count (1 for the inline backend).
   size_t num_shards = 1;
   /// Per-query aggregated metrics, in registration order.
   struct QueryEntry {
@@ -195,9 +194,9 @@ struct MetricsSnapshot {
     QueryMetrics metrics;
   };
   std::vector<QueryEntry> queries;
-  /// Per-shard counters (empty for the serial engine).
+  /// Per-shard counters (empty for the inline backend).
   std::vector<ShardStats> shards;
-  /// Merge-stage counters (zeros for the serial engine).
+  /// Merge-stage counters (zeros for the inline backend).
   MergeStats merge;
   /// Shared multi-query evaluation counters (zeros when disabled).
   SharingStats sharing;

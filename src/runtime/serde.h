@@ -67,7 +67,7 @@ class EventUninterner {
 };
 
 /// Completed-match serialization (top-k heaps, naive-sort buffers, the
-/// sharded engine's pending/published result queues). Bound events go
+/// shard backend's pending/published result queues). Bound events go
 /// through the scope's interner.
 void SaveMatch(EventInterner* in, BinWriter* w, const Match& m);
 bool LoadMatch(EventUninterner* in, BinReader* r, Match* out);

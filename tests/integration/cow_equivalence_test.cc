@@ -17,7 +17,6 @@
 
 #include "common/fault.h"
 #include "runtime/engine.h"
-#include "runtime/sharded_engine.h"
 #include "workload/forkheavy.h"
 #include "workload/health.h"
 #include "workload/stock.h"
@@ -250,14 +249,14 @@ std::vector<RankedResult> RunSharded(const Workload& w, size_t num_shards,
                                      const std::vector<uint64_t>& poison = {},
                                      Ingest ingest = Ingest::kPush) {
   FaultInjector injector(1);
-  ShardedEngineOptions options;
+  EngineOptions options;
   options.num_shards = num_shards;
   if (!poison.empty()) {
     injector.ArmKeys(fault_points::kEvalPoison, poison);
     options.fault_policy = FaultPolicy::kSkipAndCount;
     options.fault_injector = &injector;
   }
-  ShardedEngine engine(options);
+  Engine engine(options);
   return RunQuery(engine, w, ingest);
 }
 
@@ -354,9 +353,9 @@ TEST(CowEquivalenceTest, HotPathCountersMatchSerialTotals) {
   EXPECT_GT(serial_stats.predcache_misses, 0u);
 
   for (size_t shards : {1u, 2u, 4u}) {
-    ShardedEngineOptions options;
+    EngineOptions options;
     options.num_shards = shards;
-    ShardedEngine sharded(options);
+    Engine sharded(options);
     const MatcherStats sharded_stats = run(sharded);
     EXPECT_EQ(serial_stats.runs_cloned, sharded_stats.runs_cloned)
         << "shards=" << shards;

@@ -15,7 +15,6 @@
 #include "common/fault.h"
 #include "common/random.h"
 #include "runtime/engine.h"
-#include "runtime/sharded_engine.h"
 #include "workload/stock.h"
 
 namespace cepr {
@@ -101,14 +100,14 @@ std::vector<RankedResult> RunSharded(const StockStream& stream,
                                      const std::vector<Event>& arrivals,
                                      Timestamp lateness, size_t num_shards,
                                      const FaultInjector* injector = nullptr) {
-  ShardedEngineOptions options;
+  EngineOptions options;
   options.num_shards = num_shards;
   options.max_lateness_micros = lateness;
   if (injector != nullptr) {
     options.fault_policy = FaultPolicy::kSkipAndCount;
     options.fault_injector = injector;
   }
-  ShardedEngine engine(options);
+  Engine engine(options);
   EXPECT_TRUE(engine.RegisterSchema(stream.schema).ok());
   CollectSink sink;
   QueryOptions query_options;

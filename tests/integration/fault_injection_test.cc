@@ -12,7 +12,6 @@
 
 #include "common/fault.h"
 #include "runtime/engine.h"
-#include "runtime/sharded_engine.h"
 #include "testing/helpers.h"
 #include "workload/stock.h"
 
@@ -79,11 +78,11 @@ EngineOutcome RunSerial(const StockStream& stream, FaultPolicy policy,
 
 EngineOutcome RunSharded(const StockStream& stream, FaultPolicy policy,
                          const FaultInjector* injector, size_t num_shards) {
-  ShardedEngineOptions engine_options;
+  EngineOptions engine_options;
   engine_options.num_shards = num_shards;
   engine_options.fault_policy = policy;
   engine_options.fault_injector = injector;
-  ShardedEngine engine(engine_options);
+  Engine engine(engine_options);
   EXPECT_TRUE(engine.RegisterSchema(stream.schema).ok());
   CollectSink sink;
   EXPECT_TRUE(
@@ -184,12 +183,12 @@ TEST(ShardedFaultTest, WedgedShardTripsStallBudgetThenRecovers) {
   FaultInjector injector(5);
   injector.ArmKeys(fault_points::kShardStall, {0});  // wedge the only shard
 
-  ShardedEngineOptions engine_options;
+  EngineOptions engine_options;
   engine_options.num_shards = 1;
   engine_options.queue_capacity = 16;
   engine_options.enqueue_stall_budget_ms = 50;
   engine_options.fault_injector = &injector;
-  ShardedEngine engine(engine_options);
+  Engine engine(engine_options);
   ASSERT_TRUE(engine.RegisterSchema(StockSchema()).ok());
   CollectSink sink;
   ASSERT_TRUE(engine
@@ -239,10 +238,10 @@ TEST(ShardedFaultTest, RingFullProbeCountsEnqueueStalls) {
   FaultInjector injector(9);
   injector.ArmRate(fault_points::kShardRingFull, 1.0);
 
-  ShardedEngineOptions engine_options;
+  EngineOptions engine_options;
   engine_options.num_shards = 2;
   engine_options.fault_injector = &injector;
-  ShardedEngine engine(engine_options);
+  Engine engine(engine_options);
   ASSERT_TRUE(engine.RegisterSchema(StockSchema()).ok());
   CollectSink sink;
   ASSERT_TRUE(engine

@@ -18,7 +18,6 @@
 
 #include "common/fault.h"
 #include "runtime/engine.h"
-#include "runtime/sharded_engine.h"
 #include "workload/stock.h"
 
 namespace cepr {
@@ -106,7 +105,7 @@ FleetResults RunSerial(const std::vector<Event>& events, bool shared,
 FleetResults RunSharded(const std::vector<Event>& events, bool shared,
                         size_t num_shards, Timestamp max_lateness = 0,
                         const FaultInjector* injector = nullptr) {
-  ShardedEngineOptions options;
+  EngineOptions options;
   options.num_shards = num_shards;
   options.shared_eval = shared;
   options.max_lateness_micros = max_lateness;
@@ -114,7 +113,7 @@ FleetResults RunSharded(const std::vector<Event>& events, bool shared,
     options.fault_policy = FaultPolicy::kSkipAndCount;
     options.fault_injector = injector;
   }
-  ShardedEngine engine(options);
+  Engine engine(options);
   EXPECT_TRUE(engine.RegisterSchema(StockGenerator::MakeSchema()).ok());
   std::map<std::string, CollectSink> sinks;
   for (const auto& [name, query] : Fleet()) {
@@ -282,10 +281,10 @@ TEST(MultiQueryEquivalenceTest, SharingCountersAreLive) {
 
 TEST(MultiQueryEquivalenceTest, ShardedSharingCountersAreLive) {
   const auto events = StockEvents(42, 2000);
-  ShardedEngineOptions options;
+  EngineOptions options;
   options.num_shards = 2;
   options.shared_eval = true;
-  ShardedEngine engine(options);
+  Engine engine(options);
   ASSERT_TRUE(engine.RegisterSchema(StockGenerator::MakeSchema()).ok());
   std::map<std::string, CollectSink> sinks;
   for (const auto& [name, query] : Fleet()) {

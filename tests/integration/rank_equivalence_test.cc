@@ -11,12 +11,19 @@
 namespace cepr {
 namespace {
 
+// ctest names each case after the raw bytes of its Case (CMake's
+// gtest_discover_tests prints the parameter), so the padding is spelled out
+// and zeroed: implicit padding holds whatever the stack held and made the
+// names differ from build to build.
 struct Case {
   int limit;
   bool desc;
+  char pad0[3] = {};
   int num_events;
+  int pad1 = 0;
   double v_probability;
 };
+static_assert(sizeof(Case) == 4 + 1 + 3 + 4 + 4 + 8, "Case has implicit padding");
 
 class RankEquivalenceTest : public ::testing::TestWithParam<Case> {};
 
@@ -86,9 +93,12 @@ TEST_P(RankEquivalenceTest, AllPoliciesAgree) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, RankEquivalenceTest,
-    ::testing::Values(Case{1, true, 3000, 0.02}, Case{5, true, 3000, 0.02},
-                      Case{20, true, 3000, 0.05}, Case{5, false, 3000, 0.02},
-                      Case{3, true, 6000, 0.01}));
+    ::testing::Values(
+        Case{.limit = 1, .desc = true, .num_events = 3000, .v_probability = 0.02},
+        Case{.limit = 5, .desc = true, .num_events = 3000, .v_probability = 0.02},
+        Case{.limit = 20, .desc = true, .num_events = 3000, .v_probability = 0.05},
+        Case{.limit = 5, .desc = false, .num_events = 3000, .v_probability = 0.02},
+        Case{.limit = 3, .desc = true, .num_events = 6000, .v_probability = 0.01}));
 
 TEST(RankPruningEffectTest, PruningActuallyFires) {
   // Sanity for the whole E3 experiment: under global (EMIT ON COMPLETE)
@@ -158,7 +168,7 @@ TEST(RankPruningEffectTest, EagerPrunedMatchesEagerHeapFinalTopK) {
 }
 
 TEST(RankDeterminismTest, RepeatedRunsIdentical) {
-  const Case c{5, true, 2000, 0.03};
+  const Case c{.limit = 5, .desc = true, .num_events = 2000, .v_probability = 0.03};
   const auto r1 = RunWithPolicy(RankerPolicy::kPruned, c);
   const auto r2 = RunWithPolicy(RankerPolicy::kPruned, c);
   ExpectSameResults(r1, r2, "repeat");

@@ -19,7 +19,6 @@
 #include "common/fault.h"
 #include "common/random.h"
 #include "runtime/engine.h"
-#include "runtime/sharded_engine.h"
 #include "testing/helpers.h"
 #include "workload/forkheavy.h"
 #include "workload/stock.h"
@@ -78,8 +77,7 @@ StockStream DagStream(size_t n = 4000) {
 // Schema identity is per-engine: a restored engine holds its own
 // deserialized Schema object, so a recovering process rebinds events to
 // the engine's handle (GetSchema) — exactly what a real ingest path does.
-template <typename E>
-Event Rebind(E* engine, const Event& e) {
+Event Rebind(Engine* engine, const Event& e) {
   Event out(engine->GetSchema(e.schema()->name()).value(), e.timestamp(),
             e.values());
   out.set_type_tag(e.type_tag());
@@ -109,17 +107,11 @@ std::vector<Event> BlockShuffle(const std::vector<Event>& events,
   return out;
 }
 
-// Engine factories: shards == 0 selects the serial engine (and the shard
-// count is ignored by its specialization).
-template <typename E>
-std::unique_ptr<E> MakeEngine(size_t shards, Timestamp lateness,
-                              const FaultInjector* injector);
-
-template <>
-std::unique_ptr<Engine> MakeEngine<Engine>(size_t /*shards*/,
-                                           Timestamp lateness,
-                                           const FaultInjector* injector) {
+// Engine factory: shards == 0 selects the inline backend.
+std::unique_ptr<Engine> MakeEngine(size_t shards, Timestamp lateness,
+                                   const FaultInjector* injector) {
   EngineOptions options;
+  options.num_shards = shards;
   options.max_lateness_micros = lateness;
   if (injector != nullptr) {
     options.fault_injector = injector;
@@ -128,25 +120,11 @@ std::unique_ptr<Engine> MakeEngine<Engine>(size_t /*shards*/,
   return std::make_unique<Engine>(options);
 }
 
-template <>
-std::unique_ptr<ShardedEngine> MakeEngine<ShardedEngine>(
-    size_t shards, Timestamp lateness, const FaultInjector* injector) {
-  ShardedEngineOptions options;
-  options.num_shards = shards;
-  options.max_lateness_micros = lateness;
-  if (injector != nullptr) {
-    options.fault_injector = injector;
-    options.fault_policy = FaultPolicy::kSkipAndCount;
-  }
-  return std::make_unique<ShardedEngine>(options);
-}
-
-template <typename E>
 std::vector<RankedResult> RunReference(size_t shards, const StockStream& stream,
                                        const std::vector<Event>& arrivals,
                                        Timestamp lateness,
                                        const FaultInjector* injector) {
-  auto engine = MakeEngine<E>(shards, lateness, injector);
+  auto engine = MakeEngine(shards, lateness, injector);
   EXPECT_TRUE(engine->RegisterSchema(stream.schema).ok());
   CollectSink sink;
   QueryOptions options;
@@ -172,12 +150,11 @@ struct CrashPlan {
 // Runs the doomed process (checkpoint + WAL, killed per plan / injection),
 // then a recovering process, and asserts prefix-at-cut + recovered output
 // is bit-identical to the uninterrupted reference.
-template <typename E>
 void RunCrashRecovery(size_t shards, const StockStream& stream,
                       const std::vector<Event>& arrivals, const CrashPlan& plan,
                       FaultInjector* injector, const std::string& label) {
   SCOPED_TRACE(label);
-  const std::vector<RankedResult> reference = RunReference<E>(
+  const std::vector<RankedResult> reference = RunReference(
       shards, stream, arrivals, plan.lateness, injector);
   ASSERT_FALSE(reference.empty()) << "workload produced no results; weak test";
 
@@ -192,7 +169,7 @@ void RunCrashRecovery(size_t shards, const StockStream& stream,
   size_t crashed_at = plan.kill_at;
   uint64_t wal_records_at_crash = 0;
   {
-    auto engine = MakeEngine<E>(shards, plan.lateness, injector);
+    auto engine = MakeEngine(shards, plan.lateness, injector);
     ASSERT_TRUE(engine->RegisterSchema(stream.schema).ok());
     CollectSink sink;
     QueryOptions options;
@@ -251,14 +228,14 @@ void RunCrashRecovery(size_t shards, const StockStream& stream,
     // First recovery attempt dies mid-replay; a second pristine engine must
     // then recover from the very same untouched snapshot + journal.
     injector->ArmKeys(fault_points::kRestorePartialReplay, {3});
-    auto doomed_recovery = MakeEngine<E>(shards, plan.lateness, injector);
+    auto doomed_recovery = MakeEngine(shards, plan.lateness, injector);
     const Status s = doomed_recovery->Restore(snap, wal, resolver);
     ASSERT_EQ(s.code(), StatusCode::kUnavailable) << s.ToString();
     injector->Disarm(fault_points::kRestorePartialReplay);
     recovered_sink.Clear();
   }
 
-  auto engine = MakeEngine<E>(shards, plan.lateness, injector);
+  auto engine = MakeEngine(shards, plan.lateness, injector);
   const Status restored = engine->Restore(snap, wal, resolver);
   ASSERT_TRUE(restored.ok()) << restored.ToString();
   EXPECT_LE(engine->durability().recovery_events_replayed,
@@ -293,18 +270,6 @@ void RunCrashRecovery(size_t shards, const StockStream& stream,
   std::remove(wal.c_str());
 }
 
-void RunCrashRecoveryAnyEngine(size_t shards, const StockStream& stream,
-                               const std::vector<Event>& arrivals,
-                               const CrashPlan& plan, FaultInjector* injector,
-                               const std::string& label) {
-  if (shards == 0) {
-    RunCrashRecovery<Engine>(0, stream, arrivals, plan, injector, label);
-  } else {
-    RunCrashRecovery<ShardedEngine>(shards, stream, arrivals, plan, injector,
-                                    label);
-  }
-}
-
 // Shard-count parameter: 0 = serial engine, otherwise sharded.
 class RecoveryTest : public ::testing::TestWithParam<size_t> {
  protected:
@@ -321,9 +286,9 @@ TEST_P(RecoveryTest, KillAtEveryPhaseOfTheStream) {
     CrashPlan plan;
     plan.kill_at = kill_at;
     plan.ckpt_every = 1000;
-    RunCrashRecoveryAnyEngine(GetParam(), stream, stream.events, plan,
-                              &injector,
-                              Label("kill" + std::to_string(kill_at)));
+    RunCrashRecovery(GetParam(), stream, stream.events, plan,
+                     &injector,
+                     Label("kill" + std::to_string(kill_at)));
   }
 }
 
@@ -333,8 +298,8 @@ TEST_P(RecoveryTest, KillBeforeFirstEvent) {
   CrashPlan plan;
   plan.kill_at = 0;  // dies right after the empty-state checkpoint
   plan.ckpt_every = 1000;
-  RunCrashRecoveryAnyEngine(GetParam(), stream, stream.events, plan, &injector,
-                            Label("kill0"));
+  RunCrashRecovery(GetParam(), stream, stream.events, plan, &injector,
+                   Label("kill0"));
 }
 
 TEST_P(RecoveryTest, NoPeriodicCheckpointsFullWalReplay) {
@@ -343,8 +308,8 @@ TEST_P(RecoveryTest, NoPeriodicCheckpointsFullWalReplay) {
   CrashPlan plan;
   plan.kill_at = 2400;
   plan.ckpt_every = 0;  // only the empty-state snapshot: replay all arrivals
-  RunCrashRecoveryAnyEngine(GetParam(), stream, stream.events, plan, &injector,
-                            Label("fullreplay"));
+  RunCrashRecovery(GetParam(), stream, stream.events, plan, &injector,
+                   Label("fullreplay"));
 }
 
 TEST_P(RecoveryTest, TornWalTail) {
@@ -356,8 +321,8 @@ TEST_P(RecoveryTest, TornWalTail) {
   CrashPlan plan;
   plan.kill_at = stream.events.size();  // would run to completion otherwise
   plan.ckpt_every = 1000;
-  RunCrashRecoveryAnyEngine(GetParam(), stream, stream.events, plan, &injector,
-                            Label("torn"));
+  RunCrashRecovery(GetParam(), stream, stream.events, plan, &injector,
+                   Label("torn"));
 }
 
 TEST_P(RecoveryTest, CheckpointKilledMidWrite) {
@@ -370,8 +335,8 @@ TEST_P(RecoveryTest, CheckpointKilledMidWrite) {
   CrashPlan plan;
   plan.kill_at = 3500;
   plan.ckpt_every = 1000;
-  RunCrashRecoveryAnyEngine(GetParam(), stream, stream.events, plan, &injector,
-                            Label("ckptkill"));
+  RunCrashRecovery(GetParam(), stream, stream.events, plan, &injector,
+                   Label("ckptkill"));
 }
 
 TEST_P(RecoveryTest, CheckpointKilledInPublishWindow) {
@@ -388,8 +353,8 @@ TEST_P(RecoveryTest, CheckpointKilledInPublishWindow) {
   CrashPlan plan;
   plan.kill_at = 3500;
   plan.ckpt_every = 1000;
-  RunCrashRecoveryAnyEngine(GetParam(), stream, stream.events, plan, &injector,
-                            Label("publishkill"));
+  RunCrashRecovery(GetParam(), stream, stream.events, plan, &injector,
+                   Label("publishkill"));
 }
 
 TEST_P(RecoveryTest, CrashDuringRecoveryThenRetry) {
@@ -399,8 +364,8 @@ TEST_P(RecoveryTest, CrashDuringRecoveryThenRetry) {
   plan.kill_at = 2600;
   plan.ckpt_every = 1000;
   plan.crash_during_recovery = true;
-  RunCrashRecoveryAnyEngine(GetParam(), stream, stream.events, plan, &injector,
-                            Label("recoverycrash"));
+  RunCrashRecovery(GetParam(), stream, stream.events, plan, &injector,
+                   Label("recoverycrash"));
 }
 
 TEST_P(RecoveryTest, BoundedDisorder) {
@@ -412,8 +377,8 @@ TEST_P(RecoveryTest, BoundedDisorder) {
   plan.kill_at = 3000;  // mid-block: the reorder buffer is non-empty at the cut
   plan.ckpt_every = 1000;
   plan.lateness = kLateness;
-  RunCrashRecoveryAnyEngine(GetParam(), stream, arrivals, plan, &injector,
-                            Label("disorder"));
+  RunCrashRecovery(GetParam(), stream, arrivals, plan, &injector,
+                   Label("disorder"));
 }
 
 TEST_P(RecoveryTest, DisorderPlusEvalFaultSchedule) {
@@ -428,8 +393,8 @@ TEST_P(RecoveryTest, DisorderPlusEvalFaultSchedule) {
   plan.kill_at = 3100;
   plan.ckpt_every = 1000;
   plan.lateness = kLateness;
-  RunCrashRecoveryAnyEngine(GetParam(), stream, arrivals, plan, &injector,
-                            Label("faultsched"));
+  RunCrashRecovery(GetParam(), stream, arrivals, plan, &injector,
+                   Label("faultsched"));
 }
 
 TEST_P(RecoveryTest, DagModeCheckpointMidWindow) {
@@ -442,9 +407,9 @@ TEST_P(RecoveryTest, DagModeCheckpointMidWindow) {
     CrashPlan plan;
     plan.kill_at = kill_at;
     plan.ckpt_every = 700;
-    RunCrashRecoveryAnyEngine(GetParam(), stream, stream.events, plan,
-                              &injector,
-                              Label("dagkill" + std::to_string(kill_at)));
+    RunCrashRecovery(GetParam(), stream, stream.events, plan,
+                     &injector,
+                     Label("dagkill" + std::to_string(kill_at)));
   }
 }
 
@@ -459,8 +424,8 @@ TEST_P(RecoveryTest, DagModeDisorderAndEvalFaults) {
   plan.kill_at = 2500;
   plan.ckpt_every = 700;
   plan.lateness = kDagLateness;
-  RunCrashRecoveryAnyEngine(GetParam(), stream, arrivals, plan, &injector,
-                            Label("dagdisorder"));
+  RunCrashRecovery(GetParam(), stream, arrivals, plan, &injector,
+                   Label("dagdisorder"));
 }
 
 TEST_P(RecoveryTest, TornTailUnderDisorder) {
@@ -473,8 +438,8 @@ TEST_P(RecoveryTest, TornTailUnderDisorder) {
   plan.kill_at = arrivals.size();
   plan.ckpt_every = 1000;
   plan.lateness = kLateness;
-  RunCrashRecoveryAnyEngine(GetParam(), stream, arrivals, plan, &injector,
-                            Label("torndisorder"));
+  RunCrashRecovery(GetParam(), stream, arrivals, plan, &injector,
+                   Label("torndisorder"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, RecoveryTest,
@@ -502,33 +467,50 @@ TEST(RecoveryValidationTest, RestoreRequiresPristineEngine) {
 }
 
 TEST(RecoveryValidationTest, EngineKindMismatchIsRejected) {
+  // Both directions: an inline snapshot into a sharded engine and a sharded
+  // snapshot into an inline one. The error names both shard counts.
   const StockStream stream = InOrderStock(10);
   const std::string snap = testing::TestTempPath("ckpt");
-  {
-    Engine writer;
-    ASSERT_TRUE(writer.RegisterSchema(stream.schema).ok());
-    ASSERT_TRUE(writer.Checkpoint(snap).ok());
+  for (const auto& [written, reading] :
+       {std::pair<size_t, size_t>{0, 2}, std::pair<size_t, size_t>{2, 0}}) {
+    {
+      EngineOptions options;
+      options.num_shards = written;
+      Engine writer(options);
+      ASSERT_TRUE(writer.RegisterSchema(stream.schema).ok());
+      ASSERT_TRUE(writer.Checkpoint(snap).ok());
+      writer.Finish();
+    }
+    EngineOptions options;
+    options.num_shards = reading;
+    Engine reader(options);
+    const Status s = reader.Restore(snap, "", nullptr);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+    EXPECT_NE(s.message().find("written with " + std::to_string(written) +
+                               " shards"),
+              std::string::npos)
+        << s.ToString();
+    EXPECT_NE(s.message().find("this engine has " + std::to_string(reading)),
+              std::string::npos)
+        << s.ToString();
+    reader.Finish();
   }
-  ShardedEngine reader;
-  const Status s = reader.Restore(snap, "", nullptr);
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
-  reader.Finish();
 }
 
 TEST(RecoveryValidationTest, ShardCountMismatchIsRejected) {
   const StockStream stream = InOrderStock(10);
   const std::string snap = testing::TestTempPath("ckpt");
   {
-    ShardedEngineOptions options;
+    EngineOptions options;
     options.num_shards = 2;
-    ShardedEngine writer(options);
+    Engine writer(options);
     ASSERT_TRUE(writer.RegisterSchema(stream.schema).ok());
     ASSERT_TRUE(writer.Checkpoint(snap).ok());
     writer.Finish();
   }
-  ShardedEngineOptions options;
+  EngineOptions options;
   options.num_shards = 4;
-  ShardedEngine reader(options);
+  Engine reader(options);
   const Status s = reader.Restore(snap, "", nullptr);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
   EXPECT_NE(s.ToString().find("shards"), std::string::npos) << s.ToString();

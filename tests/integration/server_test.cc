@@ -258,6 +258,71 @@ TEST(ServerTest, HotDeployMidStreamSeesOnlyLaterEvents) {
   server.Stop();
 }
 
+TEST(ServerTest, RedeployAfterUndeployStartsFromAFreshChannel) {
+  // Undeploy drops the query's result channel: a redeploy under the same
+  // name neither inherits the old channel's `seen` count (Subscribe's
+  // `prior` would underflow) nor receives the removed query's buffered
+  // frames.
+  const std::vector<Event> events = StockEvents(4000);
+  CeprServer server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  {
+    CeprClient first;
+    ASSERT_TRUE(first.Connect("127.0.0.1", server.port()).ok());
+    ASSERT_TRUE(first.Ddl(kStockDdl).ok());
+    ASSERT_TRUE(first.Deploy("q", kStockQuery, PrunedOptions()).ok());
+    auto binding = first.BindStream("Stock");
+    ASSERT_TRUE(binding.ok());
+    for (size_t i = 0; i < events.size() / 2; ++i) {
+      ASSERT_TRUE(first.Push(binding.value(), WireEvent(events[i])).ok());
+    }
+    ASSERT_FALSE(first.results("q").empty()) << "no results; weak test";
+    first.Close();
+  }
+  // With the deploying session gone, these results buffer in the channel.
+  CeprClient second;
+  ASSERT_TRUE(second.Connect("127.0.0.1", server.port()).ok());
+  auto binding = second.BindStream("Stock");
+  ASSERT_TRUE(binding.ok());
+  for (size_t i = events.size() / 2; i < events.size(); ++i) {
+    ASSERT_TRUE(second.Push(binding.value(), WireEvent(events[i])).ok());
+  }
+  ASSERT_TRUE(second.Undeploy("q").ok());
+  ASSERT_TRUE(second.Deploy("q", kStockQuery, PrunedOptions()).ok());
+  ASSERT_TRUE(second.PollResults(100).ok());
+  EXPECT_TRUE(second.results("q").empty());
+
+  CeprClient third;
+  ASSERT_TRUE(third.Connect("127.0.0.1", server.port()).ok());
+  auto prior = third.Subscribe("q");
+  ASSERT_TRUE(prior.ok()) << prior.status().ToString();
+  EXPECT_EQ(prior.value(), 0u);
+  ASSERT_TRUE(third.PollResults(100).ok());
+  EXPECT_TRUE(third.results("q").empty());
+  server.Stop();
+}
+
+TEST(ServerTest, RebindingAStreamReturnsTheSameId) {
+  // Bindings are per stream, not per request: a client that rebinds in a
+  // loop cannot grow the session's binding table.
+  CeprServer server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  CeprClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(client.Ddl(kStockDdl).ok());
+  ASSERT_TRUE(client.Ddl("CREATE STREAM Other (x INT)").ok());
+  auto first = client.BindStream("Stock");
+  auto again = client.BindStream("Stock");
+  auto other = client.BindStream("Other");
+  ASSERT_TRUE(first.ok() && again.ok() && other.ok());
+  EXPECT_EQ(first.value(), again.value());
+  EXPECT_NE(other.value(), first.value());
+  for (const Event& e : StockEvents(10)) {
+    ASSERT_TRUE(client.Push(again.value(), WireEvent(e)).ok());
+  }
+  server.Stop();
+}
+
 // --- Kill and restart -------------------------------------------------------
 
 // Shared body: kill the serving process at arrival `kill_at`, restart on

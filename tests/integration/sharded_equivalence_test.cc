@@ -1,5 +1,5 @@
-// Property suite for the sharded execution mode: for every workload the
-// ShardedEngine must produce exactly the single-threaded Engine's ranked
+// Property suite for the shard backend: for every workload an Engine with
+// num_shards > 0 must produce exactly the inline backend's ranked
 // output — same results, same order, same ranks, same windows — at any
 // shard count. This is the output-equivalence invariant the shard/merge
 // design is built around (docs/ARCHITECTURE.md).
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "runtime/engine.h"
-#include "runtime/sharded_engine.h"
 #include "workload/health.h"
 #include "workload/stock.h"
 #include "workload/traffic.h"
@@ -76,6 +75,12 @@ Workload TrafficWorkload(size_t n = 6000) {
       "LIMIT 3 EMIT ON WINDOW CLOSE"};
 }
 
+EngineOptions WithShards(size_t num_shards) {
+  EngineOptions options;
+  options.num_shards = num_shards;
+  return options;
+}
+
 std::vector<RankedResult> RunSerial(const Workload& w, RankerPolicy policy) {
   Engine engine;
   EXPECT_TRUE(engine.RegisterSchema(w.schema).ok());
@@ -94,9 +99,9 @@ std::vector<RankedResult> RunSerial(const Workload& w, RankerPolicy policy) {
 
 std::vector<RankedResult> RunSharded(const Workload& w, RankerPolicy policy,
                                      size_t num_shards) {
-  ShardedEngineOptions engine_options;
+  EngineOptions engine_options;
   engine_options.num_shards = num_shards;
-  ShardedEngine engine(engine_options);
+  Engine engine(engine_options);
   EXPECT_TRUE(engine.RegisterSchema(w.schema).ok());
   CollectSink sink;
   QueryOptions options;
@@ -217,7 +222,7 @@ TEST(ShardedEquivalenceModesTest, RepeatedRunsIdentical) {
 }
 
 TEST(ShardedEngineApiTest, RejectsEagerEmission) {
-  ShardedEngine engine;
+  Engine engine(WithShards(4));
   ASSERT_TRUE(engine.RegisterSchema(StockGenerator::MakeSchema()).ok());
   CollectSink sink;
   const Status s = engine.RegisterQuery(
@@ -229,7 +234,7 @@ TEST(ShardedEngineApiTest, RejectsEagerEmission) {
 }
 
 TEST(ShardedEngineApiTest, RejectsDerivedStreams) {
-  ShardedEngine engine;
+  Engine engine(WithShards(4));
   ASSERT_TRUE(engine.RegisterSchema(StockGenerator::MakeSchema()).ok());
   const Status s = engine.RegisterQuery(
       "q",
@@ -242,9 +247,9 @@ TEST(ShardedEngineApiTest, RejectsDerivedStreams) {
 
 TEST(ShardedEngineApiTest, RejectsRegistrationAfterStart) {
   Workload w = StockWorkload(10);
-  ShardedEngineOptions options;
+  EngineOptions options;
   options.num_shards = 2;
-  ShardedEngine engine(options);
+  Engine engine(options);
   ASSERT_TRUE(engine.RegisterSchema(w.schema).ok());
   CollectSink sink;
   ASSERT_TRUE(engine.RegisterQuery("q1", w.query, QueryOptions{}, &sink).ok());
@@ -262,7 +267,7 @@ TEST(ShardedEngineApiTest, OutOfOrderRejectionParityWithSerial) {
   const Workload w = StockWorkload(10);
   Engine serial;
   ASSERT_TRUE(serial.RegisterSchema(w.schema).ok());
-  ShardedEngine sharded;
+  Engine sharded(WithShards(4));
   ASSERT_TRUE(sharded.RegisterSchema(w.schema).ok());
 
   ASSERT_TRUE(serial.Push(Event(w.events[5])).ok());
@@ -285,7 +290,7 @@ TEST(ShardedEngineApiTest, ConfigureStreamIngestClampParity) {
   const Workload w = StockWorkload(10);
   Engine serial;
   ASSERT_TRUE(serial.RegisterSchema(w.schema).ok());
-  ShardedEngine sharded;
+  Engine sharded(WithShards(4));
   ASSERT_TRUE(sharded.RegisterSchema(w.schema).ok());
   const ReorderConfig clamp{0, LatePolicy::kClamp};
   ASSERT_TRUE(serial.ConfigureStreamIngest("Stock", clamp).ok());
@@ -308,9 +313,9 @@ TEST(ShardedEngineApiTest, ConfigureStreamIngestClampParity) {
 
 TEST(ShardedEngineApiTest, MetricsAddUpAfterFinish) {
   const Workload w = StockWorkload(3000);
-  ShardedEngineOptions options;
+  EngineOptions options;
   options.num_shards = 4;
-  ShardedEngine engine(options);
+  Engine engine(options);
   ASSERT_TRUE(engine.RegisterSchema(w.schema).ok());
   CollectSink sink;
   ASSERT_TRUE(engine.RegisterQuery("q", w.query, QueryOptions{}, &sink).ok());
@@ -327,6 +332,89 @@ TEST(ShardedEngineApiTest, MetricsAddUpAfterFinish) {
   EXPECT_EQ(shard_events, w.events.size());
   EXPECT_GT(engine.merge_stats().windows_merged, 0u);
   EXPECT_EQ(engine.merge_stats().results_emitted, sink.results().size());
+}
+
+// Every capability the shard backend lacks, pinned by status code and
+// message text; the inline backend accepts each operation.
+TEST(ShardedEngineApiTest, CapabilityChecksPinCodeAndText) {
+  enum class Op {
+    kEmitOnComplete,
+    kEmitInto,
+    kRegisterAfterPush,
+    kRemoveQuery,
+    kPushAfterFinish,
+    kFlushAfterFinish,
+  };
+  struct Check {
+    Op op;
+    StatusCode sharded_code;
+    const char* text;
+  };
+  const Check checks[] = {
+      {Op::kEmitOnComplete, StatusCode::kInvalidArgument,
+       "sharded engine: EMIT ON COMPLETE (eager emission) is "
+       "order-dependent across shards"},
+      {Op::kEmitInto, StatusCode::kInvalidArgument,
+       "sharded engine: EMIT INTO derived streams are not supported"},
+      {Op::kRegisterAfterPush, StatusCode::kInvalidArgument,
+       "sharded engine: queries must be registered before the first Push"},
+      {Op::kRemoveQuery, StatusCode::kUnimplemented,
+       "undeploy requires the serial engine: sharded queries are fixed at "
+       "start"},
+      {Op::kPushAfterFinish, StatusCode::kInvalidArgument,
+       "sharded engine is finished"},
+      {Op::kFlushAfterFinish, StatusCode::kInvalidArgument,
+       "sharded engine is finished"},
+  };
+  const std::string windowed =
+      "SELECT a.price FROM Stock MATCH PATTERN SEQ(a) WHERE a.price > 0 "
+      "WITHIN 1 SECONDS RANK BY a.price DESC LIMIT 1 EMIT ON WINDOW CLOSE";
+  const auto run = [&](Engine& engine, Op op) -> Status {
+    StockGenerator gen(StockOptions{});
+    EXPECT_TRUE(engine.RegisterSchema(gen.schema()).ok());
+    CollectSink sink;
+    switch (op) {
+      case Op::kEmitOnComplete:
+        return engine.RegisterQuery(
+            "q",
+            "SELECT a.price FROM Stock MATCH PATTERN SEQ(a) WHERE a.price > 0 "
+            "RANK BY a.price DESC LIMIT 1 EMIT ON COMPLETE",
+            QueryOptions{}, &sink);
+      case Op::kEmitInto:
+        return engine.RegisterQuery(
+            "q",
+            "SELECT a.price AS p FROM Stock MATCH PATTERN SEQ(a) "
+            "WHERE a.price > 0 WITHIN 1 SECONDS RANK BY a.price DESC "
+            "EMIT ON WINDOW CLOSE INTO Derived",
+            QueryOptions{}, nullptr);
+      case Op::kRegisterAfterPush:
+        EXPECT_TRUE(engine.Push(gen.Next()).ok());
+        return engine.RegisterQuery("q", windowed, QueryOptions{}, &sink);
+      case Op::kRemoveQuery:
+        EXPECT_TRUE(
+            engine.RegisterQuery("q", windowed, QueryOptions{}, &sink).ok());
+        return engine.RemoveQuery("q");
+      case Op::kPushAfterFinish:
+        engine.Finish();
+        return engine.Push(gen.Next());
+      case Op::kFlushAfterFinish:
+        engine.Finish();
+        return engine.Flush();
+    }
+    return Status::OK();
+  };
+  for (const Check& check : checks) {
+    SCOPED_TRACE(check.text);
+    Engine inline_engine(WithShards(0));
+    const Status accepted = run(inline_engine, check.op);
+    EXPECT_TRUE(accepted.ok()) << accepted.ToString();
+    Engine sharded(WithShards(2));
+    const Status refused = run(sharded, check.op);
+    EXPECT_EQ(refused.code(), check.sharded_code) << refused.ToString();
+    EXPECT_NE(refused.message().find(check.text), std::string::npos)
+        << refused.ToString();
+    sharded.Finish();
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Concurrency suite for the metrics snapshot subsystem: a monitor thread
-// must be able to poll ShardedEngine::Snapshot() (and the narrower
+// must be able to poll Engine::Snapshot() (and the narrower
 // introspection calls) while the ingest and shard threads are running, with
 // no data races (run under -DCEPR_SANITIZE=thread) and with each counter
 // exact-at-some-instant. After Finish() the aggregated counters must equal
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "runtime/engine.h"
-#include "runtime/sharded_engine.h"
 #include "workload/stock.h"
 
 namespace cepr {
@@ -47,9 +46,9 @@ Workload StockWorkload(size_t n) {
 // and the shard cell used to be bound before the message-kind switch —
 // Push + Finish with zero registered queries indexed an empty cell vector.
 TEST(ShardedMetricsRaceTest, ZeroQueryPushFinishDoesNotCrash) {
-  ShardedEngineOptions options;
+  EngineOptions options;
   options.num_shards = 4;
-  ShardedEngine engine(options);
+  Engine engine(options);
   StockGenerator gen(StockOptions{});
   ASSERT_TRUE(engine.RegisterSchema(gen.schema()).ok());
   ASSERT_TRUE(engine.Push(gen.Next()).ok());  // starts the workers
@@ -64,9 +63,9 @@ TEST(ShardedMetricsRaceTest, ZeroQueryPushFinishDoesNotCrash) {
 // no Push yet) and after Finish.
 TEST(ShardedMetricsRaceTest, SnapshotBeforeStartAndAfterFinish) {
   const Workload w = StockWorkload(200);
-  ShardedEngineOptions options;
+  EngineOptions options;
   options.num_shards = 2;
-  ShardedEngine engine(options);
+  Engine engine(options);
   ASSERT_TRUE(engine.RegisterSchema(w.schema).ok());
   CollectSink sink;
   ASSERT_TRUE(engine.RegisterQuery("q", w.query, QueryOptions{}, &sink).ok());
@@ -92,9 +91,9 @@ TEST(ShardedMetricsRaceTest, SnapshotBeforeStartAndAfterFinish) {
 // monotonicity/sanity invariants the snapshot API documents.
 TEST(ShardedMetricsRaceTest, MonitorThreadPollsDuringIngest) {
   const Workload w = StockWorkload(100000);
-  ShardedEngineOptions options;
+  EngineOptions options;
   options.num_shards = 4;
-  ShardedEngine engine(options);
+  Engine engine(options);
   ASSERT_TRUE(engine.RegisterSchema(w.schema).ok());
   CollectSink sink;
   ASSERT_TRUE(engine.RegisterQuery("q", w.query, QueryOptions{}, &sink).ok());
@@ -162,9 +161,9 @@ TEST(ShardedMetricsRaceTest, PostFinishSnapshotMatchesSerialEngine) {
   serial.Finish();
   const QueryMetrics sm = serial.GetQueryMetrics("q").value();
 
-  ShardedEngineOptions options;
+  EngineOptions options;
   options.num_shards = 4;
-  ShardedEngine sharded(options);
+  Engine sharded(options);
   ASSERT_TRUE(sharded.RegisterSchema(w.schema).ok());
   CollectSink sharded_sink;
   ASSERT_TRUE(sharded.RegisterQuery("q", w.query, qopts, &sharded_sink).ok());

@@ -1,8 +1,8 @@
 // Durability-layer unit suite: Finish()/Flush() idempotence on both
 // engines (a crashed caller may retry either), snapshot round-trip
 // basics, and the torn-file fuzz — seeded truncations and bit flips of
-// snapshot and WAL files must surface as clean kCorrupt / version /
-// kind diagnostics naming the file (and offset where known), never as a
+// snapshot and WAL files must surface as clean kCorrupt / version
+// diagnostics naming the file (and offset where known), never as a
 // crash, a hang, or a sanitizer trip.
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "common/random.h"
 #include "runtime/engine.h"
 #include "runtime/serde.h"
-#include "runtime/sharded_engine.h"
 #include "runtime/wal.h"
 #include "testing/helpers.h"
 #include "workload/stock.h"
@@ -84,9 +83,9 @@ TEST(IdempotenceTest, SerialDoubleFinishEmitsNothingNew) {
 
 TEST(IdempotenceTest, ShardedDoubleFinishEmitsNothingNew) {
   const StockStream stream = InOrderStock(3000);
-  ShardedEngineOptions options;
+  EngineOptions options;
   options.num_shards = 2;
-  ShardedEngine engine(options);
+  Engine engine(options);
   ASSERT_TRUE(engine.RegisterSchema(stream.schema).ok());
   CollectSink sink;
   ASSERT_TRUE(
@@ -139,10 +138,10 @@ TEST(IdempotenceTest, DoubleFlushMidStreamEqualsSingleFlush) {
 TEST(IdempotenceTest, ShardedDoubleFlushMidStreamEqualsSingleFlush) {
   const StockStream stream = InOrderStock(4000);
   const auto run = [&](int flushes) {
-    ShardedEngineOptions options;
+    EngineOptions options;
     options.num_shards = 2;
     options.max_lateness_micros = 20000;
-    ShardedEngine engine(options);
+    Engine engine(options);
     EXPECT_TRUE(engine.RegisterSchema(stream.schema).ok());
     CollectSink sink;
     EXPECT_TRUE(
@@ -240,12 +239,12 @@ TEST(SnapshotTest, PreviousFormatVersionIsRejected) {
   }
   std::string bytes = ReadFileOrDie(snap);
   // The header's u32 little-endian version follows the 8-byte magic.
-  bytes.replace(sizeof(ckpt::kMagic), 4, std::string("\x02\x00\x00\x00", 4));
+  bytes.replace(sizeof(ckpt::kMagic), 4, std::string("\x03\x00\x00\x00", 4));
   WriteFileOrDie(snap, bytes);
   Engine engine;
   const Status s = engine.Restore(snap, "", nullptr);
   EXPECT_EQ(s.code(), StatusCode::kCorrupt) << s.ToString();
-  EXPECT_NE(s.message().find("unsupported format version 2"),
+  EXPECT_NE(s.message().find("unsupported format version 3"),
             std::string::npos)
       << s.ToString();
   std::remove(snap.c_str());
@@ -453,9 +452,9 @@ TEST_F(TornFileFuzzTest, BitFlippedSnapshotsFailCleanly) {
     WriteFileOrDie(mutant, bytes);
     const Status s = TryRestore(mutant, wal_path_);
     ASSERT_FALSE(s.ok());
-    // A flip lands as body corruption (CRC), a header-field mismatch, or —
-    // for the engine-kind byte, which the CRC does not cover — a clean
-    // kind-mismatch rejection. All are diagnosable errors naming the file.
+    // A flip lands as body corruption (CRC) or a header-field mismatch
+    // (magic, version, length, CRC field). All are diagnosable errors
+    // naming the file.
     EXPECT_TRUE(s.code() == StatusCode::kCorrupt ||
                 s.code() == StatusCode::kInvalidArgument)
         << s.ToString();
