@@ -10,145 +10,6 @@
 
 namespace cepr {
 
-std::string MatcherStats::ToString() const {
-  std::string out;
-  out += "events=" + std::to_string(events);
-  out += " runs_created=" + std::to_string(runs_created);
-  out += " forked=" + std::to_string(runs_forked);
-  out += " completed=" + std::to_string(runs_completed);
-  out += " expired=" + std::to_string(runs_expired);
-  out += " killed_strict=" + std::to_string(runs_killed_strict);
-  out += " killed_negation=" + std::to_string(runs_killed_negation);
-  out += " pruned_score=" + std::to_string(runs_pruned_score);
-  out += " dropped_capacity=" + std::to_string(runs_dropped_capacity);
-  out += " events_quarantined=" + std::to_string(events_quarantined);
-  out += " runs_poisoned=" + std::to_string(runs_poisoned);
-  out += " matches=" + std::to_string(matches);
-  out += " cloned=" + std::to_string(runs_cloned);
-  out += " binding_nodes=" + std::to_string(binding_nodes_allocated);
-  out += " predcache_hits=" + std::to_string(predcache_hits);
-  out += " predcache_misses=" + std::to_string(predcache_misses);
-  out += " dag_nodes=" + std::to_string(dag_nodes_allocated);
-  out += " dag_shared=" + std::to_string(dag_nodes_shared);
-  out += " peak_runs=" + std::to_string(peak_active_runs);
-  out += " peak_dag_nodes=" + std::to_string(peak_dag_nodes);
-  return out;
-}
-
-void MatcherStats::Accumulate(const MatcherStats& other) {
-  events += other.events;
-  runs_created += other.runs_created;
-  runs_forked += other.runs_forked;
-  runs_completed += other.runs_completed;
-  runs_expired += other.runs_expired;
-  runs_killed_strict += other.runs_killed_strict;
-  runs_killed_negation += other.runs_killed_negation;
-  runs_pruned_score += other.runs_pruned_score;
-  runs_dropped_capacity += other.runs_dropped_capacity;
-  events_quarantined += other.events_quarantined;
-  runs_poisoned += other.runs_poisoned;
-  matches += other.matches;
-  runs_cloned += other.runs_cloned;
-  binding_nodes_allocated += other.binding_nodes_allocated;
-  predcache_hits += other.predcache_hits;
-  predcache_misses += other.predcache_misses;
-  dag_nodes_allocated += other.dag_nodes_allocated;
-  dag_nodes_shared += other.dag_nodes_shared;
-  peak_active_runs += other.peak_active_runs;
-  peak_dag_nodes += other.peak_dag_nodes;
-}
-
-void MatcherStats::Save(BinWriter* w) const {
-  w->U64(events);
-  w->U64(runs_created);
-  w->U64(runs_forked);
-  w->U64(runs_completed);
-  w->U64(runs_expired);
-  w->U64(runs_killed_strict);
-  w->U64(runs_killed_negation);
-  w->U64(runs_pruned_score);
-  w->U64(runs_dropped_capacity);
-  w->U64(events_quarantined);
-  w->U64(runs_poisoned);
-  w->U64(matches);
-  w->U64(runs_cloned);
-  w->U64(binding_nodes_allocated);
-  w->U64(predcache_hits);
-  w->U64(predcache_misses);
-  w->U64(dag_nodes_allocated);
-  w->U64(dag_nodes_shared);
-  w->U64(static_cast<uint64_t>(peak_active_runs));
-  w->U64(static_cast<uint64_t>(peak_dag_nodes));
-}
-
-bool MatcherStats::Load(BinReader* r) {
-  uint64_t peak = 0;
-  uint64_t peak_dag = 0;
-  const bool ok =
-      r->U64(&events) && r->U64(&runs_created) && r->U64(&runs_forked) &&
-      r->U64(&runs_completed) && r->U64(&runs_expired) &&
-      r->U64(&runs_killed_strict) && r->U64(&runs_killed_negation) &&
-      r->U64(&runs_pruned_score) && r->U64(&runs_dropped_capacity) &&
-      r->U64(&events_quarantined) && r->U64(&runs_poisoned) &&
-      r->U64(&matches) && r->U64(&runs_cloned) &&
-      r->U64(&binding_nodes_allocated) && r->U64(&predcache_hits) &&
-      r->U64(&predcache_misses) && r->U64(&dag_nodes_allocated) &&
-      r->U64(&dag_nodes_shared) && r->U64(&peak) && r->U64(&peak_dag);
-  if (ok) {
-    peak_active_runs = static_cast<size_t>(peak);
-    peak_dag_nodes = static_cast<size_t>(peak_dag);
-  }
-  return ok;
-}
-
-MatcherStats AtomicMatcherStats::Snapshot() const {
-  MatcherStats s;
-  s.events = events.Load();
-  s.runs_created = runs_created.Load();
-  s.runs_forked = runs_forked.Load();
-  s.runs_completed = runs_completed.Load();
-  s.runs_expired = runs_expired.Load();
-  s.runs_killed_strict = runs_killed_strict.Load();
-  s.runs_killed_negation = runs_killed_negation.Load();
-  s.runs_pruned_score = runs_pruned_score.Load();
-  s.runs_dropped_capacity = runs_dropped_capacity.Load();
-  s.events_quarantined = events_quarantined.Load();
-  s.runs_poisoned = runs_poisoned.Load();
-  s.matches = matches.Load();
-  s.runs_cloned = runs_cloned.Load();
-  s.binding_nodes_allocated = binding_nodes_allocated.Load();
-  s.predcache_hits = predcache_hits.Load();
-  s.predcache_misses = predcache_misses.Load();
-  s.dag_nodes_allocated = dag_nodes_allocated.Load();
-  s.dag_nodes_shared = dag_nodes_shared.Load();
-  s.peak_active_runs = static_cast<size_t>(peak_active_runs.Load());
-  s.peak_dag_nodes = static_cast<size_t>(peak_dag_nodes.Load());
-  return s;
-}
-
-void AtomicMatcherStats::Restore(const MatcherStats& s) {
-  events.Store(s.events);
-  runs_created.Store(s.runs_created);
-  runs_forked.Store(s.runs_forked);
-  runs_completed.Store(s.runs_completed);
-  runs_expired.Store(s.runs_expired);
-  runs_killed_strict.Store(s.runs_killed_strict);
-  runs_killed_negation.Store(s.runs_killed_negation);
-  runs_pruned_score.Store(s.runs_pruned_score);
-  runs_dropped_capacity.Store(s.runs_dropped_capacity);
-  events_quarantined.Store(s.events_quarantined);
-  runs_poisoned.Store(s.runs_poisoned);
-  matches.Store(s.matches);
-  runs_cloned.Store(s.runs_cloned);
-  binding_nodes_allocated.Store(s.binding_nodes_allocated);
-  predcache_hits.Store(s.predcache_hits);
-  predcache_misses.Store(s.predcache_misses);
-  dag_nodes_allocated.Store(s.dag_nodes_allocated);
-  dag_nodes_shared.Store(s.dag_nodes_shared);
-  peak_active_runs.Store(s.peak_active_runs);
-  peak_dag_nodes.Store(s.peak_dag_nodes);
-}
-
 const char* ShedPolicyToString(ShedPolicy policy) {
   switch (policy) {
     case ShedPolicy::kRejectNew:

@@ -27,74 +27,66 @@ class RunPruner {
   virtual bool ShouldPrune(const Run& run) const = 0;
 };
 
+/// Matcher counters of one query: X(name, kind, merge) entries (see
+/// "Counter families" in common/counters.h). The memory/evaluation and DAG
+/// counters are explained in docs/ARCHITECTURE.md ("Run-state memory
+/// model") and engine/match_dag.h.
+#define CEPR_MATCHER_COUNTERS(X)                                              \
+  /* Events fed to the query's matchers. */                                   \
+  X(events, kCount, kSum)                                                     \
+  /* Runs started at component 0. */                                          \
+  X(runs_created, kCount, kSum)                                               \
+  /* Runs forked by SKIP_TILL_ANY_MATCH nondeterminism. */                    \
+  X(runs_forked, kCount, kSum)                                                \
+  /* Runs retired by a completing match. */                                   \
+  X(runs_completed, kCount, kSum)                                             \
+  /* Runs whose WITHIN span was exceeded. */                                  \
+  X(runs_expired, kCount, kSum)                                               \
+  /* Runs killed by a strict-contiguity violation. */                         \
+  X(runs_killed_strict, kCount, kSum)                                         \
+  /* Runs killed by a firing negation watcher. */                             \
+  X(runs_killed_negation, kCount, kSum)                                       \
+  /* Runs pruned by the ranking upper bound. */                               \
+  X(runs_pruned_score, kCount, kSum)                                          \
+  /* Runs shed by a run budget (any shed policy). */                          \
+  X(runs_dropped_capacity, kCount, kSum)                                      \
+  /* Poison events skipped under FaultPolicy::kSkipAndCount. */               \
+  X(events_quarantined, kCount, kSum)                                         \
+  /* Runs discarded by a poison event. */                                     \
+  X(runs_poisoned, kCount, kSum)                                              \
+  /* Matches detected. */                                                     \
+  X(matches, kCount, kSum)                                                    \
+  /* Run copies (forks + multi-starts). */                                    \
+  X(runs_cloned, kCount, kSum)                                                \
+  /* Binding-list cells constructed. */                                       \
+  X(binding_nodes_allocated, kCount, kSum)                                    \
+  /* Event-only predicate verdicts served from the per-event cache. */        \
+  X(predcache_hits, kCount, kSum)                                             \
+  /* Event-only predicate verdicts computed. */                               \
+  X(predcache_misses, kCount, kSum)                                           \
+  /* Shared-DAG node constructions. */                                        \
+  X(dag_nodes_allocated, kCount, kSum)                                        \
+  /* Shared-DAG node sharing events (extra references). */                    \
+  X(dag_nodes_shared, kCount, kSum)                                           \
+  /* Peak active runs. Per-shard peaks are disjoint run sets, so they sum */ \
+  /* to an engine-wide upper bound. */                                        \
+  X(peak_active_runs, kMax, kSum)                                             \
+  /* Peak simultaneously live DAG nodes; sums like peak_active_runs. */       \
+  X(peak_dag_nodes, kMax, kSum)
+
 /// Plain-value snapshot of the matcher counters of one query (or one
-/// (shard, query) cell in the sharded engine). Copyable and summable; this
-/// is what metrics readers receive.
-struct MatcherStats {
-  uint64_t events = 0;
-  uint64_t runs_created = 0;
-  uint64_t runs_forked = 0;
-  uint64_t runs_completed = 0;        // retired by a completing match
-  uint64_t runs_expired = 0;          // WITHIN span exceeded
-  uint64_t runs_killed_strict = 0;    // strict contiguity violation
-  uint64_t runs_killed_negation = 0;  // negation watcher fired
-  uint64_t runs_pruned_score = 0;     // ranking upper-bound prune
-  uint64_t runs_dropped_capacity = 0; // run-budget load shedding (any policy)
-  uint64_t events_quarantined = 0;    // poison events skipped (kSkipAndCount)
-  uint64_t runs_poisoned = 0;         // runs discarded by a poison event
-  uint64_t matches = 0;
-  // -- hot-path memory / evaluation counters (see docs/ARCHITECTURE.md,
-  //    "Run-state memory model") ------------------------------------------
-  uint64_t runs_cloned = 0;               // run copies (forks + multi-starts)
-  uint64_t binding_nodes_allocated = 0;   // binding-list cells constructed
-  uint64_t predcache_hits = 0;            // event-only verdicts served cached
-  uint64_t predcache_misses = 0;          // event-only verdicts computed
-  // -- shared partial-match DAG counters (engine/match_dag.h) --------------
-  uint64_t dag_nodes_allocated = 0;       // DAG node constructions
-  uint64_t dag_nodes_shared = 0;          // node sharing events (extra refs)
-  size_t peak_active_runs = 0;
-  size_t peak_dag_nodes = 0;              // max simultaneously live DAG nodes
-
-  /// Field-wise accumulation (peak_active_runs adds too: per-shard peaks
-  /// are disjoint run sets, so the sum is the engine-wide upper bound).
-  void Accumulate(const MatcherStats& other);
-
-  /// Checkpoint serialization (field-wise, fixed order).
-  void Save(BinWriter* w) const;
-  bool Load(BinReader* r);
-
-  std::string ToString() const;
+/// (shard, query) cell on the shard backend). Copyable and summable; this
+/// is what metrics readers receive. Accumulate sums every field, the two
+/// peaks included.
+struct MatcherStats : CounterValues<MatcherStats> {
+  CEPR_COUNTER_VALUES(MatcherStats, CEPR_MATCHER_COUNTERS)
 };
 
 /// Live counters shared by all partition matchers of one query, written by
 /// the single thread driving those matchers and snapshottable from any
 /// thread (single-writer relaxed atomics; see common/counters.h).
 struct AtomicMatcherStats {
-  RelaxedCounter events;
-  RelaxedCounter runs_created;
-  RelaxedCounter runs_forked;
-  RelaxedCounter runs_completed;
-  RelaxedCounter runs_expired;
-  RelaxedCounter runs_killed_strict;
-  RelaxedCounter runs_killed_negation;
-  RelaxedCounter runs_pruned_score;
-  RelaxedCounter runs_dropped_capacity;
-  RelaxedCounter events_quarantined;
-  RelaxedCounter runs_poisoned;
-  RelaxedCounter matches;
-  RelaxedCounter runs_cloned;
-  RelaxedCounter binding_nodes_allocated;
-  RelaxedCounter predcache_hits;
-  RelaxedCounter predcache_misses;
-  RelaxedCounter dag_nodes_allocated;
-  RelaxedCounter dag_nodes_shared;
-  RelaxedMax peak_active_runs;
-  RelaxedMax peak_dag_nodes;
-
-  MatcherStats Snapshot() const;
-  /// Checkpoint restore: overwrites every counter from a snapshot. Writer
-  /// thread only, while no other thread reads (engine quiesced).
-  void Restore(const MatcherStats& s);
+  CEPR_LIVE_COUNTERS(MatcherStats, CEPR_MATCHER_COUNTERS)
 };
 
 /// What to shed when a run budget (per-partition `max_active_runs` or

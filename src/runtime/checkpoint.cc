@@ -258,8 +258,8 @@ Status Engine::Checkpoint(const std::string& path) {
   CEPR_RETURN_IF_ERROR(ckpt::WriteSnapshotFile(path, w.buffer(),
                                                options_.fault_injector,
                                                checkpoint_attempts_++, &bytes));
-  ckpt_written_.Increment();
-  ckpt_bytes_.Store(bytes);
+  durability_.checkpoints_written.Increment();
+  durability_.checkpoint_bytes.Store(bytes);
   return Status::OK();
 }
 
@@ -295,10 +295,7 @@ void Engine::SaveBody(BinWriter* w) const {
   w->U64(events_quarantined_.Load());
   w->U64(queries_deduped_.Load());
   w->Bool(degraded_faults_);
-  w->U64(ckpt_written_.Load());
-  w->U64(ckpt_bytes_.Load());
-  w->U64(wal_appended_.Load());
-  w->U64(replayed_.Load());
+  durability_.Snapshot().Save(w);
 
   // Query registrations (original inputs), in registration order — the
   // shard backend's query ids.
@@ -374,19 +371,16 @@ Status Engine::LoadBody(BinReader* r, const SinkResolver& resolve,
     }
   }
 
-  uint64_t c[7] = {0};
+  uint64_t ingested = 0, quarantined = 0, deduped = 0;
   bool degraded = false;
-  if (!r->U64(&c[0]) || !r->U64(&c[1]) || !r->U64(&c[2]) ||
-      !r->Bool(&degraded) || !r->U64(&c[3]) || !r->U64(&c[4]) ||
-      !r->U64(&c[5]) || !r->U64(&c[6])) {
+  DurabilityStats durability;
+  if (!r->U64(&ingested) || !r->U64(&quarantined) || !r->U64(&deduped) ||
+      !r->Bool(&degraded) || !durability.Load(r)) {
     return r->ToStatus("snapshot: engine counters");
   }
-  events_ingested_.Store(c[0]);
-  events_quarantined_.Store(c[1]);
-  ckpt_written_.Store(c[3]);
-  ckpt_bytes_.Store(c[4]);
-  wal_appended_.Store(c[5]);
-  replayed_.Store(c[6]);
+  events_ingested_.Store(ingested);
+  events_quarantined_.Store(quarantined);
+  durability_.Restore(durability);
 
   // Re-register every query from its original inputs (plan recompiled
   // against the restored schema), in the saved order.
@@ -403,7 +397,7 @@ Status Engine::LoadBody(BinReader* r, const SinkResolver& resolve,
                                        resolve ? resolve(names[i]) : nullptr));
   }
   // Re-registration recomputed these; the saved values are the exact ones.
-  queries_deduped_.Store(c[2]);
+  queries_deduped_.Store(deduped);
   degraded_faults_ = degraded_faults_ || degraded;
 
   if (shards_ != nullptr) return shards_->LoadState(r);
@@ -442,7 +436,7 @@ Status Engine::ReplayWal(const std::string& wal_path, uint64_t skip,
   }
 
   replaying_ = true;
-  replayed_.Store(0);
+  durability_.recovery_events_replayed.Store(0);
   Status failed = Status::OK();
   for (size_t i = skip; i < records.size() && failed.ok(); ++i) {
     if (options_.fault_injector != nullptr &&
@@ -495,7 +489,7 @@ Status Engine::ReplayWal(const std::string& wal_path, uint64_t skip,
       break;
     }
     const Status s = Push(RebindWalEvent(schema.value(), rec.event));
-    replayed_.Increment();
+    durability_.recovery_events_replayed.Increment();
     // kInvalidArgument is a reproduced late-rejection verdict: the original
     // Push failed identically, so the engine states agree — keep replaying.
     if (!s.ok() && s.code() != StatusCode::kInvalidArgument) failed = s;
@@ -539,8 +533,7 @@ Status Engine::Restore(const std::string& snapshot_path,
 // ===========================================================================
 
 void Engine::ShardBackend::SaveState(BinWriter* w) const {
-  w->U64(merge_windows_.Load());
-  w->U64(merge_results_.Load());
+  merge_.Snapshot().Save(w);
 
   // Router-side merge state, per query (id order).
   for (const auto& q : queries_) {
@@ -579,14 +572,7 @@ void Engine::ShardBackend::SaveState(BinWriter* w) const {
       cell.matcher->SaveState(&interner, w);
     }
     const MetricsCell& m = shard->metrics;
-    w->U64(m.events.Load());
-    w->U64(m.matches.Load());
-    w->U64(m.barriers.Load());
-    w->U64(m.batches_published.Load());
-    w->U64(m.queue_high_water.Load());
-    w->U64(m.enqueue_stalls.Load());
-    w->U64(m.stall_us.Load());
-    w->U64(m.stalls_tripped.Load());
+    m.Snapshot().Save(w);
     std::lock_guard<std::mutex> lock(m.mu);
     for (const MetricsCell::Timings& t : m.timings) {
       t.processing_ns.Save(w);
@@ -596,12 +582,9 @@ void Engine::ShardBackend::SaveState(BinWriter* w) const {
 }
 
 Status Engine::ShardBackend::LoadState(BinReader* r) {
-  uint64_t mw = 0, mr = 0;
-  if (!r->U64(&mw) || !r->U64(&mr)) {
-    return r->ToStatus("snapshot: merge counters");
-  }
-  merge_windows_.Store(mw);
-  merge_results_.Store(mr);
+  MergeStats merge;
+  if (!merge.Load(r)) return r->ToStatus("snapshot: merge counters");
+  merge_.Restore(merge);
 
   for (auto& q : queries_) {
     uint64_t ordinal = 0, delivered = 0;
@@ -656,18 +639,9 @@ Status Engine::ShardBackend::LoadState(BinReader* r) {
       }
     }
     MetricsCell& m = shard->metrics;
-    uint64_t c[8] = {0};
-    for (auto& v : c) {
-      if (!r->U64(&v)) return r->ToStatus("snapshot: shard metrics");
-    }
-    m.events.Store(c[0]);
-    m.matches.Store(c[1]);
-    m.barriers.Store(c[2]);
-    m.batches_published.Store(c[3]);
-    m.queue_high_water.Store(c[4]);
-    m.enqueue_stalls.Store(c[5]);
-    m.stall_us.Store(c[6]);
-    m.stalls_tripped.Store(c[7]);
+    ShardStats counters;
+    if (!counters.Load(r)) return r->ToStatus("snapshot: shard metrics");
+    m.Restore(counters);
     for (MetricsCell::Timings& t : m.timings) {
       if (!t.processing_ns.Load(r) || !t.emission_delay_us.Load(r)) {
         return r->ToStatus("snapshot: shard latency histograms");

@@ -44,7 +44,7 @@ Status Engine::RegisterSchema(SchemaPtr schema) {
     BinWriter blob;
     SaveSchema(&blob, *it->second.schema);
     CEPR_RETURN_IF_ERROR(wal_->AppendSchema(blob.buffer()));
-    wal_appended_.Increment();
+    durability_.wal_records_appended.Increment();
   }
   return Status::OK();
 }
@@ -153,7 +153,7 @@ Status Engine::RegisterQuery(std::string name, std::string_view query_text,
     blob.Str(entry.text);
     SaveQueryOptions(&blob, options);
     CEPR_RETURN_IF_ERROR(wal_->AppendDeploy(entry.name, blob.buffer()));
-    wal_appended_.Increment();
+    durability_.wal_records_appended.Increment();
   }
   return Status::OK();
 }
@@ -261,7 +261,7 @@ Status Engine::RemoveQuery(std::string_view name) {
   if (stream != nullptr) RebuildSharedStream(*stream);
   if (wal_ != nullptr && !replaying_) {
     CEPR_RETURN_IF_ERROR(wal_->AppendUndeploy(std::string(name)));
-    wal_appended_.Increment();
+    durability_.wal_records_appended.Increment();
   }
   return Status::OK();
 }
@@ -325,15 +325,6 @@ MetricsSnapshot Engine::Snapshot() const {
   return snap;
 }
 
-DurabilityStats Engine::durability() const {
-  DurabilityStats d;
-  d.checkpoints_written = ckpt_written_.Load();
-  d.checkpoint_bytes = ckpt_bytes_.Load();
-  d.wal_records_appended = wal_appended_.Load();
-  d.recovery_events_replayed = replayed_.Load();
-  return d;
-}
-
 Status Engine::first_fault() const {
   return shards_ != nullptr ? shards_->first_fault() : Status::OK();
 }
@@ -378,7 +369,7 @@ Result<Engine::StreamState*> Engine::OfferEvent(Event event,
   // process and the recovered one agree the arrival never happened.
   if (wal_ != nullptr && !replaying_ && push_depth_ == 0) {
     CEPR_RETURN_IF_ERROR(wal_->AppendEvent(state.schema->name(), event));
-    wal_appended_.Increment();
+    durability_.wal_records_appended.Increment();
   }
 
   const Timestamp offered_ts = event.timestamp();
@@ -559,7 +550,7 @@ Status Engine::Flush() {
   // idempotent against drained buffers).
   if (wal_ != nullptr && !replaying_) {
     CEPR_RETURN_IF_ERROR(wal_->AppendFlush());
-    wal_appended_.Increment();
+    durability_.wal_records_appended.Increment();
   }
   for (auto& [key, state] : streams_) {
     if (state.reorder.resident() == 0) continue;

@@ -226,7 +226,7 @@ class Engine {
                  const SinkResolver& resolve);
 
   /// Durability counters (folded into Snapshot().durability).
-  DurabilityStats durability() const;
+  DurabilityStats durability() const { return durability_.Snapshot(); }
 
   /// Effective engine options (after a Restore these are the snapshot's,
   /// except the fault injector, which stays the constructed one).
@@ -402,12 +402,7 @@ class Engine {
   bool replaying_ = false;
   /// Checkpoint ordinal: the `ckpt.kill_mid_write` fault key.
   uint64_t checkpoint_attempts_ = 0;
-  /// Relaxed atomics: a monitor thread may read Snapshot().durability
-  /// while the ingest thread checkpoints.
-  RelaxedCounter ckpt_written_;
-  RelaxedCounter ckpt_bytes_;
-  RelaxedCounter wal_appended_;
-  RelaxedCounter replayed_;
+  AtomicDurabilityStats durability_;
 
   /// Null for the inline backend. Declared last: its worker threads read
   /// the members above, so it is destroyed (and joined) first.

@@ -46,114 +46,128 @@ struct QueryMetrics {
   std::string ToJson() const;
 };
 
+/// Counters of one worker shard: X(name, kind, merge) entries (see
+/// "Counter families" in common/counters.h).
+#define CEPR_SHARD_COUNTERS(X)                                                \
+  /* Event messages processed by this shard (across all queries). */          \
+  X(events, kCount, kSum)                                                     \
+  /* Matches detected on this shard. */                                       \
+  X(matches, kCount, kSum)                                                    \
+  /* Window-barrier messages processed. */                                    \
+  X(barriers, kCount, kSum)                                                   \
+  /* Result batches published to the merge stage (one per window a shard */   \
+  /* closed with results). */                                                 \
+  X(batches_published, kCount, kSum)                                          \
+  /* Peak ingest-queue occupancy seen by the router (backpressure */          \
+  /* early warning: capacity means stalls). */                                \
+  X(queue_high_water, kMax, kMax)                                             \
+  /* Push attempts that found the queue full (each is one producer */         \
+  /* yield/park cycle). */                                                    \
+  X(enqueue_stalls, kCount, kSum)                                             \
+  /* Cumulative microseconds the ingest thread waited on the full ring. */    \
+  X(stall_us, kCount, kSum)                                                   \
+  /* Times the stall budget tripped on this shard (Push failed with */        \
+  /* kUnavailable because the shard looked dead or wedged). */                \
+  X(stalls_tripped, kCount, kSum)
+
 /// Plain-value snapshot of one worker shard's counters. Safe to take at any
 /// time via MetricsCell::Snapshot(): each counter is exact at some recent
 /// instant, counters are only approximately consistent with each other.
-struct ShardStats {
-  /// Event messages processed by this shard (across all queries).
-  uint64_t events = 0;
-  /// Matches detected on this shard.
-  uint64_t matches = 0;
-  /// Window-barrier messages processed.
-  uint64_t barriers = 0;
-  /// Result batches published to the merge stage (one per window a shard
-  /// closed with results).
-  uint64_t batches_published = 0;
-  /// Peak ingest-queue occupancy observed by the router (backpressure
-  /// early-warning: capacity means stalls).
-  size_t queue_high_water = 0;
-  /// Push attempts that found the queue full (each is one producer
-  /// yield/park cycle).
-  uint64_t enqueue_stalls = 0;
-  /// Cumulative microseconds the ingest thread spent waiting on this
-  /// shard's full ring.
-  uint64_t stall_us = 0;
-  /// Times the stall budget tripped on this shard (Push failed with
-  /// kUnavailable because the shard looked dead/wedged).
-  uint64_t stalls_tripped = 0;
-
-  std::string ToString() const;
-  std::string ToJson() const;
+struct ShardStats : CounterValues<ShardStats> {
+  CEPR_COUNTER_VALUES(ShardStats, CEPR_SHARD_COUNTERS)
 };
 
-/// Counters of the shared multi-query evaluation layer (docs/MULTIQUERY.md).
-/// All zeros when shared evaluation is disabled.
+/// Counters of the shared multi-query evaluation layer
+/// (docs/MULTIQUERY.md): X(name, kind, merge) entries.
+#define CEPR_SHARING_COUNTERS(X)                                              \
+  /* Query registrations that reused an already-interned NFA template */      \
+  /* (same canonical signature, different constants/k/partition slots). */    \
+  X(queries_deduped, kCount, kSum)                                            \
+  /* Distinct live NFA templates across all registered queries. */            \
+  X(live_templates, kCount, kSum)                                             \
+  /* Predicate-index probes (one per routed event on an indexed stream) */    \
+  /* and the candidate queries they produced: candidates / probes is the */   \
+  /* average fan-out per event. */                                            \
+  X(predindex_probes, kCount, kSum)                                           \
+  X(predindex_candidates, kCount, kSum)                                       \
+  /* Entry/matcher predicates lowered to flat bytecode across all */          \
+  /* registered queries (the VM hot path; docs/ARCHITECTURE.md). */           \
+  X(bytecode_compiled_preds, kCount, kSum)                                    \
+  /* Live shared window-boundary trackers (one per (stream, window-scheme) */ \
+  /* group of queries whose report windows close at coincident events). */    \
+  X(shared_window_buffers, kCount, kSum)
+
+/// Shared-layer counters. All zeros when shared evaluation is disabled.
+/// Assembled by Engine::Snapshot() from several sources, so it has no live
+/// twin.
 struct SharingStats {
   /// Whether the engine routed events through the shared layer. False
   /// under `shared_eval = false` and when fault injection degraded the
   /// engine to full per-query visits.
   bool shared_eval = false;
-  /// Query registrations that reused an already-interned NFA template
-  /// (same canonical signature, different constants/k/partition slots).
-  uint64_t queries_deduped = 0;
-  /// Distinct live NFA templates across all registered queries.
-  uint64_t live_templates = 0;
-  /// Predicate-index probes (one per routed event on an indexed stream)
-  /// and the total candidate queries those probes produced. candidates /
-  /// probes = average fan-out per event; compare with the resident query
-  /// count to see what the index saves.
-  uint64_t predindex_probes = 0;
-  uint64_t predindex_candidates = 0;
-  /// Entry/matcher predicates the compiler lowered to flat bytecode across
-  /// all registered queries (the VM hot path; docs/ARCHITECTURE.md).
-  uint64_t bytecode_compiled_preds = 0;
-  /// Live shared window-boundary trackers (one per (stream, window-scheme)
-  /// group of queries whose report windows close at coincident events).
-  uint64_t shared_window_buffers = 0;
+  CEPR_COUNTER_VALUES(SharingStats, CEPR_SHARING_COUNTERS)
 
   std::string ToString() const;
   std::string ToJson() const;
 };
 
-/// Counters of the durability layer (runtime/checkpoint.* + runtime/wal.*).
-/// All zeros until a WAL is opened or a checkpoint is written.
-struct DurabilityStats {
-  /// Snapshots successfully written (temp + fsync + rename completed).
-  uint64_t checkpoints_written = 0;
-  /// Bytes of the most recent successfully written snapshot.
-  uint64_t checkpoint_bytes = 0;
-  /// Event/flush records appended to the write-ahead journal.
-  uint64_t wal_records_appended = 0;
-  /// Events re-ingested from the journal during the last Restore().
-  uint64_t recovery_events_replayed = 0;
+/// Counters of the durability layer (runtime/checkpoint.* + runtime/wal.*):
+/// X(name, kind, merge) entries.
+#define CEPR_DURABILITY_COUNTERS(X)                                           \
+  /* Snapshots successfully written (temp + fsync + rename completed). */     \
+  X(checkpoints_written, kCount, kSum)                                        \
+  /* Bytes of the most recent successfully written snapshot. */               \
+  X(checkpoint_bytes, kCount, kSum)                                           \
+  /* Event/flush records appended to the write-ahead journal. */              \
+  X(wal_records_appended, kCount, kSum)                                       \
+  /* Events re-ingested from the journal during the last Restore(). */        \
+  X(recovery_events_replayed, kCount, kSum)
 
-  std::string ToString() const;
-  std::string ToJson() const;
+/// Durability counters. All zeros until a WAL is opened or a checkpoint is
+/// written.
+struct DurabilityStats : CounterValues<DurabilityStats> {
+  CEPR_COUNTER_VALUES(DurabilityStats, CEPR_DURABILITY_COUNTERS)
 };
 
-/// Engine-wide counters of the shard backend's merge stage.
-struct MergeStats {
-  /// Report windows combined across shards.
-  uint64_t windows_merged = 0;
-  /// Results delivered to sinks after merging.
-  uint64_t results_emitted = 0;
+/// Live durability counters (Engine's ingest thread writes; monitor threads
+/// may read Snapshot() while it checkpoints).
+struct AtomicDurabilityStats {
+  CEPR_LIVE_COUNTERS(DurabilityStats, CEPR_DURABILITY_COUNTERS)
+};
 
-  std::string ToString() const;
-  std::string ToJson() const;
+/// Engine-wide counters of the shard backend's merge stage: X(name, kind,
+/// merge) entries.
+#define CEPR_MERGE_COUNTERS(X)                                                \
+  /* Report windows combined across shards. */                                \
+  X(windows_merged, kCount, kSum)                                             \
+  /* Results delivered to sinks after merging. */                             \
+  X(results_emitted, kCount, kSum)
+
+/// Merge-stage counters (zeros for the inline backend).
+struct MergeStats : CounterValues<MergeStats> {
+  CEPR_COUNTER_VALUES(MergeStats, CEPR_MERGE_COUNTERS)
+};
+
+/// Live merge-stage counters (written by the ingest thread).
+struct AtomicMergeStats {
+  CEPR_LIVE_COUNTERS(MergeStats, CEPR_MERGE_COUNTERS)
 };
 
 /// Live per-shard metrics cell: the write side of the monitoring subsystem.
 ///
 /// Scalar counters are single-writer relaxed atomics (common/counters.h):
 /// the shard thread owns events/matches/barriers/batches_published, the
-/// ingest (router) thread owns queue_high_water/enqueue_stalls. Either side
-/// may be read from any thread at any time without synchronization.
+/// ingest (router) thread owns the rest. Either side may be read from any
+/// thread at any time without synchronization; Snapshot() reads the
+/// scalars only, the engine's snapshot path merges the histograms under
+/// `mu`.
 ///
 /// The per-query latency histograms are recorded thread-locally by the
 /// owning shard thread and guarded by `mu` so snapshotters can copy them
 /// while the stream is running; the lock is uncontended except during a
 /// poll.
 struct MetricsCell {
-  // -- shard-thread-written --------------------------------------------------
-  RelaxedCounter events;
-  RelaxedCounter matches;
-  RelaxedCounter barriers;
-  RelaxedCounter batches_published;
-  // -- ingest/router-thread-written -----------------------------------------
-  RelaxedMax queue_high_water;
-  RelaxedCounter enqueue_stalls;
-  RelaxedCounter stall_us;
-  RelaxedCounter stalls_tripped;
+  CEPR_LIVE_COUNTERS(ShardStats, CEPR_SHARD_COUNTERS)
 
   /// Per-query wall-clock/event-time distributions (indexed by query id,
   /// sized before the shard thread starts).
@@ -163,10 +177,6 @@ struct MetricsCell {
   };
   mutable std::mutex mu;
   std::vector<Timings> timings;
-
-  /// Scalar counters only; histograms are merged by the engine's snapshot
-  /// path under `mu`.
-  ShardStats Snapshot() const;
 };
 
 /// One coherent view of an engine's counters, taken by Engine::Snapshot().

@@ -20,13 +20,6 @@ const char* LatePolicyToString(LatePolicy policy) {
   return "?";
 }
 
-void ReorderStats::Accumulate(const ReorderStats& other) {
-  events_reordered += other.events_reordered;
-  events_late_dropped += other.events_late_dropped;
-  events_clamped += other.events_clamped;
-  reorder_buffer_peak = std::max(reorder_buffer_peak, other.reorder_buffer_peak);
-}
-
 Timestamp ReorderBuffer::watermark() const {
   // Saturating high_ts - lateness, floored by anything already flushed out.
   Timestamp wm = std::numeric_limits<Timestamp>::min();
@@ -48,15 +41,15 @@ ReorderBuffer::Verdict ReorderBuffer::Offer(Event event,
       case LatePolicy::kReject:
         return Verdict::kLateRejected;
       case LatePolicy::kDropAndCount:
-        events_late_dropped_.Increment();
+        counters_.events_late_dropped.Increment();
         return Verdict::kLateDropped;
       case LatePolicy::kClamp:
-        events_clamped_.Increment();
+        counters_.events_clamped.Increment();
         event.set_timestamp(watermark());
         break;
     }
   } else if (saw_event_ && ts < high_ts_) {
-    events_reordered_.Increment();
+    counters_.events_reordered.Increment();
   }
 
   Entry entry;
@@ -67,7 +60,7 @@ ReorderBuffer::Verdict ReorderBuffer::Offer(Event event,
   saw_event_ = true;
   heap_.push_back(std::move(entry));
   std::push_heap(heap_.begin(), heap_.end(), ReleasesLater);
-  buffer_peak_.Observe(heap_.size());
+  counters_.reorder_buffer_peak.Observe(heap_.size());
 
   ReleaseRipe(released);
   return Verdict::kAccepted;
@@ -108,11 +101,7 @@ void ReorderBuffer::SaveState(BinWriter* w) const {
     w->U64(e.arrival);
     SaveEventBody(w, e.event);
   }
-  const ReorderStats s = stats();
-  w->U64(s.events_reordered);
-  w->U64(s.events_late_dropped);
-  w->U64(s.events_clamped);
-  w->U64(s.reorder_buffer_peak);
+  stats().Save(w);
 }
 
 bool ReorderBuffer::LoadState(BinReader* r, const SchemaPtr& schema) {
@@ -138,25 +127,10 @@ bool ReorderBuffer::LoadState(BinReader* r, const SchemaPtr& schema) {
     }
     heap_.push_back(std::move(e));
   }
-  uint64_t reordered = 0, dropped = 0, clamped = 0, peak = 0;
-  if (!r->U64(&reordered) || !r->U64(&dropped) || !r->U64(&clamped) ||
-      !r->U64(&peak)) {
-    return false;
-  }
-  events_reordered_.Store(reordered);
-  events_late_dropped_.Store(dropped);
-  events_clamped_.Store(clamped);
-  buffer_peak_.Store(peak);
+  ReorderStats counters;
+  if (!counters.Load(r)) return false;
+  counters_.Restore(counters);
   return true;
-}
-
-ReorderStats ReorderBuffer::stats() const {
-  ReorderStats s;
-  s.events_reordered = events_reordered_.Load();
-  s.events_late_dropped = events_late_dropped_.Load();
-  s.events_clamped = events_clamped_.Load();
-  s.reorder_buffer_peak = buffer_peak_.Load();
-  return s;
 }
 
 }  // namespace cepr

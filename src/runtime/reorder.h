@@ -9,9 +9,6 @@
 
 namespace cepr {
 
-class BinWriter;
-class BinReader;
-
 /// What happens to an event that arrives after the stream's release
 /// watermark has moved past its timestamp (it missed the lateness bound).
 enum class LatePolicy : uint8_t {
@@ -42,20 +39,28 @@ struct ReorderConfig {
   LatePolicy late_policy = LatePolicy::kReject;
 };
 
+/// Disorder counters of one reorder buffer: X(name, kind, merge) entries
+/// (see "Counter families" in common/counters.h).
+#define CEPR_REORDER_COUNTERS(X)                                              \
+  /* Events admitted with a timestamp below the highest already seen: */      \
+  /* reordered into place by the buffer. */                                   \
+  X(events_reordered, kCount, kSum)                                           \
+  /* Events discarded under LatePolicy::kDropAndCount. */                     \
+  X(events_late_dropped, kCount, kSum)                                        \
+  /* Late events rewritten to the watermark under LatePolicy::kClamp. */      \
+  X(events_clamped, kCount, kSum)                                             \
+  /* Peak resident events. Accumulate keeps the deepest single buffer. */     \
+  X(reorder_buffer_peak, kMax, kMax)
+
 /// Plain-value snapshot of one buffer's (or one engine's aggregated)
 /// disorder counters.
-struct ReorderStats {
-  /// Events admitted with a timestamp below the highest already seen —
-  /// successfully reordered into place by the buffer.
-  uint64_t events_reordered = 0;
-  /// Events discarded under LatePolicy::kDropAndCount.
-  uint64_t events_late_dropped = 0;
-  /// Late events rewritten to the watermark under LatePolicy::kClamp.
-  uint64_t events_clamped = 0;
-  /// Peak resident events (deepest the buffer got).
-  uint64_t reorder_buffer_peak = 0;
+struct ReorderStats : CounterValues<ReorderStats> {
+  CEPR_COUNTER_VALUES(ReorderStats, CEPR_REORDER_COUNTERS)
+};
 
-  void Accumulate(const ReorderStats& other);
+/// Live disorder counters of one buffer.
+struct AtomicReorderStats {
+  CEPR_LIVE_COUNTERS(ReorderStats, CEPR_REORDER_COUNTERS)
 };
 
 /// Bounded out-of-order ingest buffer, one per stream, sitting between
@@ -116,7 +121,7 @@ class ReorderBuffer {
   void set_config(ReorderConfig config) { config_ = config; }
 
   /// Counter snapshot (any thread).
-  ReorderStats stats() const;
+  ReorderStats stats() const { return counters_.Snapshot(); }
 
   /// Checkpoint serialization: config, frontier state, resident events (in
   /// raw heap-array order, preserving arrival numbering exactly) and
@@ -151,10 +156,7 @@ class ReorderBuffer {
   /// Min-heap on (ts, arrival): heap_.front() is the next event to release.
   std::vector<Entry> heap_;
 
-  RelaxedCounter events_reordered_;
-  RelaxedCounter events_late_dropped_;
-  RelaxedCounter events_clamped_;
-  RelaxedMax buffer_peak_;
+  AtomicReorderStats counters_;
 };
 
 }  // namespace cepr

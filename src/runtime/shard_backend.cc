@@ -478,8 +478,8 @@ void Engine::ShardBackend::DrainReady(QueryState* q, uint32_t query_index,
       }
     }
     std::vector<RankedResult> merged = MergeShardResults(std::move(lists), q->merge);
-    merge_windows_.Increment();
-    merge_results_.Add(merged.size());
+    merge_.windows_merged.Increment();
+    merge_.results_emitted.Add(merged.size());
     q->results_delivered.Add(merged.size());
     if (q->sink != nullptr) {
       for (const RankedResult& r : merged) q->sink->OnResult(r);
@@ -530,13 +530,6 @@ std::vector<ShardStats> Engine::ShardBackend::shard_stats() const {
     out.push_back(shard->metrics.Snapshot());
   }
   return out;
-}
-
-MergeStats Engine::ShardBackend::merge_stats() const {
-  MergeStats m;
-  m.windows_merged = merge_windows_.Load();
-  m.results_emitted = merge_results_.Load();
-  return m;
 }
 
 QueryMetrics Engine::ShardBackend::AggregateQueryMetrics(uint32_t id) const {

@@ -96,7 +96,7 @@ class Engine::ShardBackend {
   bool started() const { return started_.load(std::memory_order_acquire); }
   Status first_fault() const;
   std::vector<ShardStats> shard_stats() const;
-  MergeStats merge_stats() const;
+  MergeStats merge_stats() const { return merge_.Snapshot(); }
   /// Sums matcher/pruner counters and latency histograms across shards.
   QueryMetrics AggregateQueryMetrics(uint32_t id) const;
   /// Fills the shard-specific parts of an engine snapshot: shard count,
@@ -244,8 +244,7 @@ class Engine::ShardBackend {
   mutable std::mutex fault_mu_;
   Status first_fault_;
   std::atomic<bool> faulted_{false};
-  RelaxedCounter merge_windows_;
-  RelaxedCounter merge_results_;
+  AtomicMergeStats merge_;
   uint64_t quiesce_generation_ = 0;
 };
 

@@ -9,7 +9,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/binio.h"
@@ -282,6 +284,98 @@ TEST(SnapshotTest, OldLayoutDeployRecordFailsReplayCleanly) {
   EXPECT_NE(s.message().find("'q'"), std::string::npos) << s.ToString();
   std::remove(snap.c_str());
   std::remove(wal.c_str());
+}
+
+// --- Cross-version snapshot fixture ----------------------------------------
+//
+// tests/data/snapshot_v4/{inline,shards2} hold a format-4 snapshot and its
+// journal, written by an earlier build (write_fixture.cc there), with that
+// build's counter readings in counters.txt: "cut" lines after restoring the
+// snapshot alone, "replayed" lines after restoring snapshot + journal and
+// finishing. Restoring them here proves no counter moved in the encoding.
+
+using CounterMap = std::map<std::string, uint64_t>;
+
+template <typename Stats>
+void AddCounters(const std::string& prefix, const Stats& stats,
+                 CounterMap* out) {
+  for (const auto& f : Stats::Fields()) {
+    (*out)[prefix + f.name] = stats.*f.value;
+  }
+}
+
+CounterMap ReadCounters(const Engine& engine) {
+  const MetricsSnapshot snap = engine.Snapshot();
+  CounterMap c = {{"engine.events_ingested", snap.events_ingested},
+                  {"engine.events_quarantined", snap.events_quarantined},
+                  {"engine.queries_deduped", snap.sharing.queries_deduped}};
+  AddCounters("durability.", snap.durability, &c);
+  AddCounters("reorder.", snap.reorder, &c);
+  EXPECT_EQ(snap.queries.size(), 1u);
+  if (!snap.queries.empty()) {
+    AddCounters("matcher.", snap.queries[0].metrics.matcher, &c);
+  }
+  for (size_t i = 0; i < snap.shards.size(); ++i) {
+    AddCounters("shard" + std::to_string(i) + ".", snap.shards[i], &c);
+  }
+  if (!snap.shards.empty()) AddCounters("merge.", snap.merge, &c);
+  return c;
+}
+
+// Every recorded counter must read back equal; `complete` also requires the
+// recording to cover every counter the engine reports.
+void ExpectCounters(const CounterMap& want, const CounterMap& got,
+                    bool complete, const std::string& where) {
+  for (const auto& [key, value] : want) {
+    const auto it = got.find(key);
+    if (it == got.end()) {
+      ADD_FAILURE() << where << ": no counter " << key;
+      continue;
+    }
+    EXPECT_EQ(it->second, value) << where << ": " << key;
+  }
+  if (complete) {
+    for (const auto& [key, value] : got) {
+      EXPECT_EQ(want.count(key), 1u) << where << ": unrecorded " << key;
+    }
+  }
+}
+
+TEST(SnapshotTest, RestoresParentWrittenV4Fixture) {
+  for (const auto& [variant, shards] :
+       {std::pair<std::string, size_t>{"inline", 0}, {"shards2", 2}}) {
+    SCOPED_TRACE(variant);
+    const std::string dir = std::string(CEPR_TEST_DATA_DIR) + "/snapshot_v4/" +
+                            variant + "/";
+    std::map<std::string, CounterMap> recorded;
+    std::ifstream in(dir + "counters.txt");
+    ASSERT_TRUE(in.good()) << dir;
+    std::string section, key;
+    uint64_t value = 0;
+    while (in >> section >> key >> value) recorded[section][key] = value;
+    ASSERT_EQ(recorded.size(), 2u);
+
+    EngineOptions options;
+    options.num_shards = shards;
+    CollectSink sink;
+    const SinkResolver resolve = [&](const std::string&) { return &sink; };
+    {
+      Engine engine(options);
+      ASSERT_TRUE(engine.Restore(dir + "snapshot.bin", "", resolve).ok());
+      ExpectCounters(recorded["cut"], ReadCounters(engine), true, "cut");
+    }
+    // Restore reopens the journal for appending: work on a copy.
+    const std::string wal = testing::TestTempPath(variant + ".wal");
+    WriteFileOrDie(wal, ReadFileOrDie(dir + "journal.wal"));
+    {
+      Engine engine(options);
+      ASSERT_TRUE(engine.Restore(dir + "snapshot.bin", wal, resolve).ok());
+      engine.Finish();
+      ExpectCounters(recorded["replayed"], ReadCounters(engine), false,
+                     "replayed");
+    }
+    std::remove(wal.c_str());
+  }
 }
 
 // --- Chunked WAL open scan -------------------------------------------------
