@@ -6,7 +6,8 @@
 # the live-metrics race test), then an AddressSanitizer build running the
 # memory-churn-heavy suites (robustness fuzz, overload shedding, fault
 # injection, CSV parsing, crash recovery, torn-file fuzz, the refcounted
-# match-DAG store and its lazy enumerator), then a UBSan
+# match-DAG store and its lazy enumerator, the parser's nesting limits and
+# the query-text fuzz), then a UBSan
 # build running the arithmetic-heavy suites (evaluator/VM extremes, the
 # bytecode differential fuzzer, rank math, snapshot/WAL decoding of
 # corrupted bytes). Run from the repo root:
@@ -64,7 +65,7 @@ if [[ $run_asan -eq 1 ]]; then
   echo "== ASan build + robustness suites =="
   cmake -B build-asan -S . -DCEPR_SANITIZE=address -DCMAKE_BUILD_TYPE=Debug >/dev/null
   cmake --build build-asan -j "$(nproc)" --target integration_test runtime_test \
-    engine_test rank_test net_test
+    engine_test rank_test net_test lang_test
   # ServerRobustnessTest feeds the wire decoder torn frames and garbage —
   # attacker-controlled lengths and truncated bodies are ASan's home turf;
   # net_test fuzzes the framing layer directly over socketpairs.
@@ -77,6 +78,11 @@ if [[ $run_asan -eq 1 ]]; then
   # ASan exists to audit; the enumerator suite drives its free/reuse cycle.
   ./build-asan/tests/engine_test --gtest_filter='MatchDag*'
   ./build-asan/tests/rank_test --gtest_filter='Enumerator*'
+  # Hostile query text: nesting at the parser's height limit and mutated
+  # queries drive the deepest recursion any statement can reach — a stack
+  # overflow there is exactly what ASan reports. (The deep-deploy server
+  # case rides in ServerRobustnessTest.* above.)
+  ./build-asan/tests/lang_test --gtest_filter='Parser*:QueryTextFuzz*'
 fi
 
 if [[ $run_ubsan -eq 1 ]]; then

@@ -72,30 +72,24 @@ bool Matcher::TypeMatches(const std::string& tag, const Event& event) const {
   return tag.empty() || EqualsIgnoreCase(tag, event.type_tag());
 }
 
-bool Matcher::EvalPred(const Run& run, const Expr& pred,
-                       const BytecodeProgram* prog, int cache_id, int var_index,
-                       const Event& event) const {
-  if (cache_id >= 0) {
-    return CachedVerdict(pred, prog, cache_id, var_index, event);
-  }
+bool Matcher::EvalPred(const Run& run, const BytecodeProgram& prog,
+                       int cache_id, int var_index, const Event& event) const {
+  if (cache_id >= 0) return CachedVerdict(prog, cache_id, var_index, event);
   // Correlated conjunct: evaluate against the run, which answers
   // `var_index` with the installed candidate.
-  auto r = prog != nullptr ? VmEvaluatePredicate(*prog, run, &vm_)
-                           : EvaluatePredicate(pred, run);
+  auto r = VmEvaluatePredicate(prog, run, &vm_);
   return r.ok() && r.value();
 }
 
-bool Matcher::CachedVerdict(const Expr& pred, const BytecodeProgram* prog,
-                            int cache_id, int var_index,
-                            const Event& event) const {
+bool Matcher::CachedVerdict(const BytecodeProgram& prog, int cache_id,
+                            int var_index, const Event& event) const {
   int8_t& slot = pred_cache_[static_cast<size_t>(cache_id)];
   if (slot < 0) {
     // First consult this event: compute once under an EventOnlyContext —
     // provably the same verdict a run evaluation would produce (the
     // conjunct references nothing but the candidate event).
     EventOnlyContext ctx(var_index, &event);
-    auto r = prog != nullptr ? VmEvaluatePredicate(*prog, ctx, &vm_)
-                             : EvaluatePredicate(pred, ctx);
+    auto r = VmEvaluatePredicate(prog, ctx, &vm_);
     slot = (r.ok() && r.value()) ? 1 : 0;
     stats_->predcache_misses.Increment();
   } else {
@@ -111,8 +105,8 @@ bool Matcher::PassesBegin(Run* run, int comp_index, const Event& event) const {
   run->SetCandidate(comp.var_index, &event);
   bool ok = true;
   for (size_t i = 0; i < comp.begin_preds.size(); ++i) {
-    if (!EvalPred(*run, *comp.begin_preds[i], comp.begin_pred_progs[i].get(),
-                  comp.begin_pred_cache_ids[i], comp.var_index, event)) {
+    if (!EvalPred(*run, *comp.begin_pred_progs[i], comp.begin_pred_cache_ids[i],
+                  comp.var_index, event)) {
       ok = false;
       break;
     }
@@ -130,8 +124,8 @@ bool Matcher::PassesIter(Run* run, int comp_index, const Event& event) const {
   for (size_t i = 0; i < comp.iter_preds.size(); ++i) {
     // Conjuncts referencing v[i-1] are vacuous for the first iteration.
     if (first_iteration && comp.iter_pred_uses_prev[i]) continue;
-    if (!EvalPred(*run, *comp.iter_preds[i], comp.iter_pred_progs[i].get(),
-                  comp.iter_pred_cache_ids[i], comp.var_index, event)) {
+    if (!EvalPred(*run, *comp.iter_pred_progs[i], comp.iter_pred_cache_ids[i],
+                  comp.var_index, event)) {
       ok = false;
       break;
     }
@@ -146,10 +140,8 @@ bool Matcher::PassesExit(Run* run, int comp_index) const {
   if (comp.is_kleene && run->KleeneCount(comp.var_index) < comp.min_iters) {
     return false;
   }
-  for (size_t i = 0; i < comp.exit_preds.size(); ++i) {
-    const BytecodeProgram* prog = comp.exit_pred_progs[i].get();
-    auto r = prog != nullptr ? VmEvaluatePredicate(*prog, *run, &vm_)
-                             : EvaluatePredicate(*comp.exit_preds[i], *run);
+  for (const BytecodeProgramPtr& prog : comp.exit_pred_progs) {
+    auto r = VmEvaluatePredicate(*prog, *run, &vm_);
     if (!r.ok() || !r.value()) return false;
   }
   return true;
@@ -214,8 +206,8 @@ bool Matcher::NegationKills(Run* run, const Event& event) const {
   run->SetCandidate(neg.var_index, &event);
   bool kills = true;
   for (size_t i = 0; i < neg.preds.size(); ++i) {
-    if (!EvalPred(*run, *neg.preds[i], neg.pred_progs[i].get(),
-                  neg.pred_cache_ids[i], neg.var_index, event)) {
+    if (!EvalPred(*run, *neg.pred_progs[i], neg.pred_cache_ids[i],
+                  neg.var_index, event)) {
       kills = false;
       break;
     }
@@ -238,20 +230,14 @@ bool Matcher::MaybeEmit(Run* run, std::vector<Match>* out) {
   // may cross threads / outlive the matcher's arena.
   m.bindings = run->MaterializeBindings();
 
-  m.row.reserve(plan_->analyzed.ast.select.size());
-  for (size_t i = 0; i < plan_->analyzed.ast.select.size(); ++i) {
-    const BytecodeProgram* prog = plan_->select_progs[i].get();
-    auto v = prog != nullptr ? VmEvaluate(*prog, *run, &vm_)
-                             : Evaluate(*plan_->analyzed.ast.select[i].expr, *run);
+  m.row.reserve(plan_->select_progs.size());
+  for (const BytecodeProgramPtr& prog : plan_->select_progs) {
+    auto v = VmEvaluate(*prog, *run, &vm_);
     m.row.push_back(v.ok() ? std::move(v).value() : Value::Null());
   }
-  if (plan_->score == nullptr) {
-    m.score = 0.0;
-  } else if (plan_->score_prog != nullptr) {
-    m.score = VmEvaluateScore(*plan_->score_prog, *run, &vm_);
-  } else {
-    m.score = EvaluateScore(*plan_->score, *run);
-  }
+  m.score = plan_->score_prog == nullptr
+                ? 0.0
+                : VmEvaluateScore(*plan_->score_prog, *run, &vm_);
 
   stats_->matches.Increment();
   out->push_back(std::move(m));
@@ -279,8 +265,8 @@ bool Matcher::GroupEventPasses(const Event& event) const {
   for (size_t i = 0; i < comp.iter_preds.size(); ++i) {
     // Every iteration conjunct is event-only under DAG eligibility, so the
     // cached EventOnlyContext verdict is provably what any run would get.
-    if (!CachedVerdict(*comp.iter_preds[i], comp.iter_pred_progs[i].get(),
-                       comp.iter_pred_cache_ids[i], comp.var_index, event)) {
+    if (!CachedVerdict(*comp.iter_pred_progs[i], comp.iter_pred_cache_ids[i],
+                       comp.var_index, event)) {
       return false;
     }
   }
@@ -516,7 +502,8 @@ void Matcher::RemoveRunAt(size_t index) {
 }
 
 double Matcher::BoundStrength(const Run& run) const {
-  const Interval bound = DeriveBounds(*plan_->score, run);
+  const Interval bound =
+      DeriveBounds(*plan_->score, *plan_->score_prog, run, &vm_);
   return plan_->rank_desc ? bound.hi : -bound.lo;
 }
 

@@ -256,15 +256,14 @@ class Matcher {
   /// Evaluates one edge-predicate conjunct for `run` with `event` as the
   /// candidate for `var_index`. Event-only conjuncts (cache_id >= 0) are
   /// answered by CachedVerdict; correlated conjuncts evaluate against the
-  /// run. `prog` is the conjunct's compiled bytecode (nullptr = the AST
-  /// walker, where Compile emitted no program).
-  bool EvalPred(const Run& run, const Expr& pred, const BytecodeProgram* prog,
-                int cache_id, int var_index, const Event& event) const;
+  /// run. `prog` is the conjunct's compiled bytecode.
+  bool EvalPred(const Run& run, const BytecodeProgram& prog, int cache_id,
+                int var_index, const Event& event) const;
   /// Verdict of event-only conjunct `cache_id` for `event`: evaluated at
   /// most once per event under an EventOnlyContext and shared across every
   /// run, begin-probe and DAG group of the partition.
-  bool CachedVerdict(const Expr& pred, const BytecodeProgram* prog,
-                     int cache_id, int var_index, const Event& event) const;
+  bool CachedVerdict(const BytecodeProgram& prog, int cache_id, int var_index,
+                     const Event& event) const;
   bool PassesBegin(Run* run, int comp_index, const Event& event) const;
   bool PassesIter(Run* run, int comp_index, const Event& event) const;
   /// Exit predicates + the minimum-iteration bound of component

@@ -141,7 +141,7 @@ void PredicateIndex::IndexQuery(QueryId id, const CompiledQuery& plan) {
     for (size_t i = 0; i < preds.size(); ++i) {
       if (cache_ids[i] >= 0) {
         event_only.push_back(preds[i].get());
-        event_only_progs.push_back(i < progs.size() ? progs[i].get() : nullptr);
+        event_only_progs.push_back(progs[i].get());
       }
     }
     if (event_only.empty()) {
@@ -184,8 +184,7 @@ void PredicateIndex::IndexQuery(QueryId id, const CompiledQuery& plan) {
       g.kind = Guard::kResidual;
       g.residual.query = id;
       g.residual.var_index = comp.var_index;
-      g.residual.preds = event_only;
-      g.residual.progs = event_only_progs;
+      g.residual.progs = std::move(event_only_progs);
     }
     guards.push_back(std::move(g));
 
@@ -286,14 +285,10 @@ void PredicateIndex::Probe(const Event& event,
 bool PredicateIndex::EvalResidual(const ResidualEntry& r,
                                   const Event& event) const {
   const EventOnlyContext ctx(r.var_index, &event);
-  for (size_t i = 0; i < r.preds.size(); ++i) {
-    // Bytecode when the compiler produced a program (bit-identical to the
-    // AST path), recursive evaluation otherwise. Evaluation errors mean the
-    // binding would fail in the matcher too (EvalPred treats them as
-    // false), so they exclude the candidate.
-    const Result<bool> res =
-        r.progs[i] != nullptr ? VmEvaluatePredicate(*r.progs[i], ctx, &vm_)
-                              : EvaluatePredicate(*r.preds[i], ctx);
+  for (const BytecodeProgram* prog : r.progs) {
+    // Evaluation errors mean the binding would fail in the matcher too
+    // (EvalPred treats them as false), so they exclude the candidate.
+    const Result<bool> res = VmEvaluatePredicate(*prog, ctx, &vm_);
     if (!res.ok() || !res.value()) return false;
   }
   return true;

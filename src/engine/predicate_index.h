@@ -79,14 +79,12 @@ class PredicateIndex {
     bool inclusive = false;
     QueryId query = 0;
   };
-  /// All event-only begin conjuncts of one start component, evaluated
-  /// under an EventOnlyContext at probe time. `progs` parallels `preds`:
-  /// the compiler's bytecode programs where compilation succeeded (nullptr
-  /// entries fall back to the AST evaluator — both are bit-identical).
+  /// All event-only begin conjuncts of one start component (the
+  /// compiler's bytecode programs), evaluated under an EventOnlyContext at
+  /// probe time.
   struct ResidualEntry {
     QueryId query = 0;
     int var_index = -1;
-    std::vector<const Expr*> preds;
     std::vector<const BytecodeProgram*> progs;
   };
   struct RangeLists {

@@ -6,8 +6,9 @@ namespace cepr {
 
 namespace {
 
-// Max register index addressable by the 8-bit operand fields.
-constexpr int kMaxReg = 255;
+// Max register index addressable by the 16-bit operand fields. Parsed trees
+// stay far below it (see bytecode.h); only hand-built trees can reach it.
+constexpr int kMaxReg = UINT16_MAX;
 
 /// Single-pass tree-walking compiler. Registers follow a stack discipline:
 /// node -> `dst`, children -> `dst`, `dst+1`, ... Forward jumps are patched
@@ -25,16 +26,10 @@ class Compiler {
         return true;
 
       case ExprKind::kVarRef:
-        Emit(OpCode::kLoadAttr, dst, 0, 0, e.var_index, e.attr_index);
-        return true;
-
       case ExprKind::kIterRef:
-        Emit(OpCode::kLoadIter, dst, static_cast<int>(e.iter_kind), 0,
-             e.var_index, e.attr_index);
-        return true;
-
       case ExprKind::kAggregate:
-        return CompileAggregate(e, dst);
+        prog_->code.push_back(LeafInsn(e, dst));
+        return true;
 
       case ExprKind::kUnary:
         if (!Compile(*e.children[0], dst)) return false;
@@ -62,9 +57,9 @@ class Compiler {
   size_t Emit(OpCode op, int dst, int a, int b, int32_t imm, int32_t imm2 = 0) {
     Insn insn;
     insn.op = op;
-    insn.dst = static_cast<uint8_t>(dst);
-    insn.a = static_cast<uint8_t>(a);
-    insn.b = static_cast<uint8_t>(b);
+    insn.dst = static_cast<uint16_t>(dst);
+    insn.a = static_cast<uint16_t>(a);
+    insn.b = static_cast<uint16_t>(b);
     insn.imm = imm;
     insn.imm2 = imm2;
     prog_->code.push_back(insn);
@@ -82,33 +77,6 @@ class Compiler {
 
   void Touch(int reg) {
     if (reg > max_reg_) max_reg_ = reg;
-  }
-
-  bool CompileAggregate(const Expr& e, int dst) {
-    switch (e.agg_func) {
-      case AggFunc::kCount:
-        Emit(OpCode::kAggCount, dst, 0, 0, e.var_index);
-        return true;
-      case AggFunc::kFirst:
-        Emit(OpCode::kAggFirst, dst, 0, 0, e.var_index, e.attr_index);
-        return true;
-      case AggFunc::kLast:
-        Emit(OpCode::kAggLast, dst, 0, 0, e.var_index, e.attr_index);
-        return true;
-      case AggFunc::kAvg:
-        Emit(OpCode::kAggAvg, dst, 0, 0, e.var_index, e.agg_slot);
-        return true;
-      case AggFunc::kSum:
-        Emit(OpCode::kAggSum, dst, static_cast<int>(e.result_type), 0,
-             e.var_index, e.agg_slot);
-        return true;
-      case AggFunc::kMin:
-      case AggFunc::kMax:
-        Emit(OpCode::kAggExtreme, dst, static_cast<int>(e.result_type), 0,
-             e.var_index, e.agg_slot);
-        return true;
-    }
-    return false;
   }
 
   bool CompileBinary(const Expr& e, int dst) {
@@ -217,7 +185,6 @@ class Compiler {
         if (!Compile(*e.children[0], dst)) return false;
         if (!Compile(*e.children[1], dst + 1)) return false;
         if (!Compile(*e.children[2], dst + 2)) return false;
-        if (dst + 2 > kMaxReg) return false;
         Emit(OpCode::kSubstr, dst, dst, dst + 1, 0, dst + 2);
         return true;
       default:
@@ -229,7 +196,6 @@ class Compiler {
     std::vector<size_t> to_end;
     for (size_t i = 0; i < e.children.size(); ++i) {
       const int r = dst + static_cast<int>(i);
-      if (r > kMaxReg) return false;
       if (!Compile(*e.children[i], r)) return false;
       to_end.push_back(Emit(OpCode::kFuncArgCheck, dst, r, 0, 0));
     }
@@ -277,6 +243,47 @@ class Compiler {
 
 }  // namespace
 
+Insn LeafInsn(const Expr& leaf, int dst) {
+  Insn in;
+  in.dst = static_cast<uint16_t>(dst);
+  in.imm = leaf.var_index;
+  in.imm2 = leaf.attr_index;
+  if (leaf.kind == ExprKind::kVarRef) {
+    in.op = OpCode::kLoadAttr;
+    return in;
+  }
+  if (leaf.kind == ExprKind::kIterRef) {
+    in.op = OpCode::kLoadIter;
+    in.a = static_cast<uint16_t>(leaf.iter_kind);
+    return in;
+  }
+  switch (leaf.agg_func) {
+    case AggFunc::kCount:
+      in.op = OpCode::kAggCount;
+      return in;
+    case AggFunc::kFirst:
+      in.op = OpCode::kAggFirst;
+      return in;
+    case AggFunc::kLast:
+      in.op = OpCode::kAggLast;
+      return in;
+    case AggFunc::kAvg:
+      in.op = OpCode::kAggAvg;
+      break;
+    case AggFunc::kSum:
+      in.op = OpCode::kAggSum;
+      break;
+    case AggFunc::kMin:
+    case AggFunc::kMax:
+      in.op = OpCode::kAggExtreme;
+      break;
+  }
+  // Slot aggregates read accumulator `agg_slot`, packed into `result_type`.
+  in.a = static_cast<uint16_t>(leaf.result_type);
+  in.imm2 = leaf.agg_slot;
+  return in;
+}
+
 Result<BytecodeProgram> CompileToBytecode(const Expr& expr) {
   BytecodeProgram prog;
   Compiler compiler(&prog);
@@ -288,10 +295,10 @@ Result<BytecodeProgram> CompileToBytecode(const Expr& expr) {
   return prog;
 }
 
-BytecodeProgramPtr CompileToBytecodeShared(const Expr& expr) {
-  auto prog = CompileToBytecode(expr);
-  if (!prog.ok()) return nullptr;
-  return std::make_shared<const BytecodeProgram>(std::move(prog).value());
+Result<BytecodeProgramPtr> CompileToBytecodeShared(const Expr& expr) {
+  CEPR_ASSIGN_OR_RETURN(BytecodeProgram prog, CompileToBytecode(expr));
+  return BytecodeProgramPtr(
+      std::make_shared<const BytecodeProgram>(std::move(prog)));
 }
 
 }  // namespace cepr

@@ -12,22 +12,25 @@
 namespace cepr {
 
 /// Flat register bytecode for expression trees — the compiled form the VM in
-/// expr/vm.h executes on the matcher hot path instead of the recursive
-/// EvalNode walk. Programs are compiled once per query (plan/compiler.cc)
-/// and are immutable afterwards; execution is read-only, so one program can
-/// be shared by every matcher evaluating the query.
+/// expr/vm.h executes. The VM is the only run-time evaluator: every
+/// predicate, SELECT item and RANK BY score is compiled once per query
+/// (plan/compiler.cc), constant folding compiles its literal-only subtrees,
+/// and the pruner runs the score's program. Programs are immutable after
+/// compilation; execution is read-only, so one program can be shared by
+/// every matcher evaluating the query.
 ///
-/// The VM is REQUIRED to be bit-identical to the AST evaluator: same values,
-/// same NULL propagation, same three-valued AND/OR, same overflow-to-NULL
-/// arithmetic contract, and an error Status exactly where the AST evaluator
-/// produces one (tests/expr/bytecode_equivalence_test.cc enforces this
-/// differentially).
+/// Semantics are pinned by a reference tree walker kept with the tests
+/// (tests/testing/reference_eval.h): same values, same NULL propagation,
+/// same three-valued AND/OR, same overflow-to-NULL arithmetic contract,
+/// and an error Status exactly where the reference produces one
+/// (tests/expr/bytecode_equivalence_test.cc checks this differentially).
 ///
 /// Register model: tree-shaped evaluation with a stack discipline — an
 /// expression's result lands in register `dst`, its children evaluate into
 /// `dst`, `dst+1`, ... so the register file is only as deep as the tree.
-/// Trees deeper than 255 registers do not compile (CompileToBytecode returns
-/// an error) and callers fall back to the AST evaluator.
+/// Each level adds at most two registers (SUBSTR's third argument), so a
+/// tree within the parser's kMaxExprHeight needs at most 1025, well inside
+/// the 16-bit operand fields.
 enum class OpCode : uint8_t {
   // Loads.
   kLoadConst,  // dst = constants[imm]
@@ -95,9 +98,9 @@ enum class OpCode : uint8_t {
 
 struct Insn {
   OpCode op = OpCode::kLoadNull;
-  uint8_t dst = 0;
-  uint8_t a = 0;
-  uint8_t b = 0;
+  uint16_t dst = 0;
+  uint16_t a = 0;
+  uint16_t b = 0;
   int32_t imm = 0;   // jump target / var_index / constant index / result type
   int32_t imm2 = 0;  // attr_index / agg_slot / third register
 };
@@ -111,14 +114,20 @@ struct BytecodeProgram {
 
 using BytecodeProgramPtr = std::shared_ptr<const BytecodeProgram>;
 
-/// Compiles a resolved, type-checked expression tree to bytecode. Fails
-/// (Status::Internal) only for trees too deep for the 8-bit register file;
-/// callers keep the AST path as fallback.
+/// Compiles a resolved, type-checked expression tree to bytecode. Succeeds
+/// for every tree the parser and type checker accept; fails
+/// (Status::Internal) only for hand-built trees past the 16-bit register
+/// file or with an unknown node.
 Result<BytecodeProgram> CompileToBytecode(const Expr& expr);
 
-/// Convenience wrapper: compile to a shared immutable program, or nullptr if
-/// the tree does not compile (callers then use the AST evaluator).
-BytecodeProgramPtr CompileToBytecodeShared(const Expr& expr);
+/// CompileToBytecode into a shared immutable program.
+Result<BytecodeProgramPtr> CompileToBytecodeShared(const Expr& expr);
+
+/// The single instruction that loads a reference leaf (kVarRef, kIterRef
+/// or kAggregate) into register `dst`. It reads no register and no
+/// constant, so the pruner runs it on its own to take a closed leaf's
+/// point value (see VmExec).
+Insn LeafInsn(const Expr& leaf, int dst = 0);
 
 }  // namespace cepr
 

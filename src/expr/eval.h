@@ -1,16 +1,16 @@
 #ifndef CEPR_EXPR_EVAL_H_
 #define CEPR_EXPR_EVAL_H_
 
-#include "common/result.h"
 #include "event/event.h"
 #include "expr/expr.h"
 
 namespace cepr {
 
-/// The binding state an expression is evaluated against. Implemented by the
-/// engine's active Run (partial matches, for edge predicates) and by
-/// completed Match objects (for SELECT / RANK BY). All accessors may return
-/// nullptr for unbound variables; evaluation then yields NULL.
+/// The binding state the bytecode VM (expr/vm.h) evaluates an expression
+/// against. Implemented by the engine's active Run (partial matches, for
+/// edge predicates) and by completed Match objects (for SELECT / RANK BY).
+/// All accessors may return nullptr for unbound variables; evaluation then
+/// yields NULL.
 class EvalContext {
  public:
   virtual ~EvalContext() = default;
@@ -70,34 +70,6 @@ class EventOnlyContext : public EvalContext {
 /// run-independent, so the compiler assigns it a cache id and the matcher
 /// memoizes its verdict per event (the per-event predicate cache).
 bool IsEventOnlyPredicate(const Expr& expr, int var_index, bool is_kleene);
-
-/// Evaluates a resolved, type-checked expression. NULL propagates through
-/// arithmetic and comparisons (a NULL operand yields NULL); AND/OR use
-/// three-valued logic (FALSE AND NULL = FALSE, TRUE OR NULL = TRUE).
-/// Division / modulo by zero yields NULL.
-///
-/// Integer arithmetic is exact and UB-free (the contract UBSan enforces,
-/// mirrored instruction-for-instruction by the bytecode VM in expr/vm.h):
-/// int64 +/-/* detect overflow via __builtin_*_overflow and yield NULL;
-/// `x % -1` is 0 for every x (including INT64_MIN, which would trap
-/// natively); negation and ABS of INT64_MIN yield NULL; FLOOR/CEIL/ROUND
-/// guard the float->int cast to [-2^63, 2^63) and yield NULL outside it
-/// (NaN and ±inf included). Int/int division is double-typed, so
-/// INT64_MIN / -1 is a finite float. Int-int ordering comparisons are
-/// exact (never routed through double).
-///
-/// Returns an error Status only for malformed trees (e.g. unresolved
-/// references), which indicates a compiler bug rather than a data
-/// condition.
-Result<Value> Evaluate(const Expr& expr, const EvalContext& ctx);
-
-/// Evaluates a predicate to a definite boolean: NULL and evaluation of a
-/// non-BOOL root count as false.
-Result<bool> EvaluatePredicate(const Expr& expr, const EvalContext& ctx);
-
-/// Evaluates an expression to a double for scoring. NULL or non-numeric
-/// results map to -infinity (so failed scores never enter a top-k).
-double EvaluateScore(const Expr& expr, const EvalContext& ctx);
 
 }  // namespace cepr
 

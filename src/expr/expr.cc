@@ -1,8 +1,20 @@
 #include "expr/expr.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace cepr {
+
+namespace {
+
+// Sets `e`'s height from its children (see Expr::height).
+ExprPtr WithHeight(ExprPtr e) {
+  for (const auto& c : e->children) e->height = std::max(e->height, c->height + 1);
+  return e;
+}
+
+}  // namespace
 
 const char* BinaryOpToString(BinaryOp op) {
   switch (op) {
@@ -130,7 +142,7 @@ ExprPtr Expr::Unary(UnaryOp op, ExprPtr operand) {
   e->kind = ExprKind::kUnary;
   e->unary_op = op;
   e->children.push_back(std::move(operand));
-  return e;
+  return WithHeight(std::move(e));
 }
 
 ExprPtr Expr::Binary(BinaryOp op, ExprPtr lhs, ExprPtr rhs) {
@@ -139,7 +151,7 @@ ExprPtr Expr::Binary(BinaryOp op, ExprPtr lhs, ExprPtr rhs) {
   e->binary_op = op;
   e->children.push_back(std::move(lhs));
   e->children.push_back(std::move(rhs));
-  return e;
+  return WithHeight(std::move(e));
 }
 
 ExprPtr Expr::Func(ScalarFunc func, std::vector<ExprPtr> args) {
@@ -147,7 +159,7 @@ ExprPtr Expr::Func(ScalarFunc func, std::vector<ExprPtr> args) {
   e->kind = ExprKind::kFunc;
   e->func = func;
   e->children = std::move(args);
-  return e;
+  return WithHeight(std::move(e));
 }
 
 ExprPtr Expr::Case(std::vector<ExprPtr> children, bool has_else) {
@@ -155,7 +167,7 @@ ExprPtr Expr::Case(std::vector<ExprPtr> children, bool has_else) {
   e->kind = ExprKind::kCase;
   e->children = std::move(children);
   e->has_else = has_else;
-  return e;
+  return WithHeight(std::move(e));
 }
 
 ExprPtr Expr::Clone() const {
@@ -174,6 +186,7 @@ ExprPtr Expr::Clone() const {
   e->func = func;
   e->has_else = has_else;
   e->result_type = result_type;
+  e->height = height;
   e->children.reserve(children.size());
   for (const auto& c : children) e->children.push_back(c->Clone());
   return e;

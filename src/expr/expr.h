@@ -85,6 +85,14 @@ using ExprPtr = std::unique_ptr<Expr>;
 /// not a schema attribute. Exposed as INT microseconds.
 constexpr int kTimestampAttr = -2;
 
+/// Tallest expression tree the parser accepts (Expr::height). Bounds the
+/// recursion of every pass over a tree (analyzer, type checker, folder,
+/// bytecode compiler, destructor) — the type checker, the deepest, stays
+/// within a few MB of stack even in sanitizer builds — and the VM register
+/// file: each level adds at most two registers, so a program needs at most
+/// 2 * 512 + 1.
+constexpr int kMaxExprHeight = 512;
+
 /// One node of an expression tree. Parser produces unresolved nodes (names
 /// only); the semantic analyzer fills var_index / attr_index / result_type;
 /// the query compiler assigns agg_slot for incremental aggregates.
@@ -117,6 +125,13 @@ struct Expr {
   bool has_else = false;
 
   std::vector<ExprPtr> children;
+
+  /// Levels from this node down to its deepest leaf (1 for a leaf), set by
+  /// the factories when the node is built. The parser rejects trees taller
+  /// than kMaxExprHeight, so every recursive pass over a parsed tree has a
+  /// bounded depth. Rewrites that shrink a subtree (constant folding) leave
+  /// it an upper bound.
+  int height = 1;
 
   /// Static type; ValueType::kNull until the type checker runs.
   ValueType result_type = ValueType::kNull;

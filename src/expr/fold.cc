@@ -2,7 +2,9 @@
 
 #include <utility>
 
+#include "expr/bytecode.h"
 #include "expr/eval.h"
+#include "expr/vm.h"
 
 namespace cepr {
 
@@ -43,9 +45,7 @@ ExprPtr MakeLiteral(Value v, ValueType static_type) {
   return lit;
 }
 
-}  // namespace
-
-ExprPtr FoldConstants(ExprPtr expr) {
+ExprPtr Fold(ExprPtr expr, VmState* vm) {
   // Leaves with references never fold.
   if (expr->kind == ExprKind::kVarRef || expr->kind == ExprKind::kIterRef ||
       expr->kind == ExprKind::kAggregate || expr->kind == ExprKind::kLiteral) {
@@ -53,7 +53,7 @@ ExprPtr FoldConstants(ExprPtr expr) {
   }
 
   for (auto& child : expr->children) {
-    child = FoldConstants(std::move(child));
+    child = Fold(std::move(child), vm);
   }
 
   // Boolean identities (valid under three-valued logic: TRUE/FALSE branches
@@ -103,15 +103,25 @@ ExprPtr FoldConstants(ExprPtr expr) {
     return expr;
   }
 
-  // Pure-literal operator/function nodes evaluate at compile time.
+  // Pure-literal operator/function nodes evaluate at compile time, on the
+  // VM that evaluates them at run time.
   if ((expr->kind == ExprKind::kUnary || expr->kind == ExprKind::kBinary ||
        expr->kind == ExprKind::kFunc) &&
       AllChildrenLiteral(*expr)) {
-    NoBindingContext ctx;
-    auto v = Evaluate(*expr, ctx);
-    if (v.ok()) return MakeLiteral(std::move(v).value(), expr->result_type);
+    auto prog = CompileToBytecode(*expr);
+    if (prog.ok()) {
+      auto v = VmEvaluate(*prog, NoBindingContext(), vm);
+      if (v.ok()) return MakeLiteral(std::move(v).value(), expr->result_type);
+    }
   }
   return expr;
+}
+
+}  // namespace
+
+ExprPtr FoldConstants(ExprPtr expr) {
+  VmState vm;
+  return Fold(std::move(expr), &vm);
 }
 
 }  // namespace cepr

@@ -9,9 +9,9 @@ namespace cepr {
 /// type checking and before predicate decomposition:
 ///
 ///  * constant subtrees collapse to literals (`2 * 3 + 1` -> `7`,
-///    `UPPER('ibm')` -> `'IBM'`, `1 > 2` -> `FALSE`), using the same
-///    evaluator as runtime so semantics (NULL propagation, division by
-///    zero, ...) agree exactly;
+///    `UPPER('ibm')` -> `'IBM'`, `1 > 2` -> `FALSE`), compiled and run on
+///    the bytecode VM that evaluates them at run time, so semantics (NULL
+///    propagation, division by zero, ...) agree exactly;
 ///  * boolean identities shrink the tree: `TRUE AND x` -> `x`,
 ///    `FALSE AND x` -> `FALSE`, `TRUE OR x` -> `TRUE`, `FALSE OR x` -> `x`,
 ///    `NOT TRUE` -> `FALSE`;

@@ -62,16 +62,31 @@ const Interval kBoolWhole{0.0, 1.0};
 const Interval kTrue = Interval::Point(1.0);
 const Interval kFalse = Interval::Point(0.0);
 
-// Evaluates a closed subexpression to a point interval, or Whole() when the
-// value is NULL / non-numeric (a NULL score maps to -inf at scoring time,
-// but bounds stay conservative).
-Interval PointOf(const Expr& e, const BoundEnv& env) {
-  auto v = Evaluate(e, env.Context());
-  if (!v.ok() || v->is_null()) return Interval::Whole();
-  if (v->type() == ValueType::kBool) return v->AsBool() ? kTrue : kFalse;
-  auto num = v->AsNumeric();
-  if (!num.ok()) return Interval::Whole();
-  return Interval::Point(num.value());
+// The point interval of a VM result, or Whole() when the value is NULL /
+// non-numeric (a NULL score maps to -inf at scoring time, but bounds stay
+// conservative).
+Interval PointOf(const VmReg& r) {
+  switch (r.tag) {
+    case ValueType::kBool:
+      return r.b ? kTrue : kFalse;
+    case ValueType::kInt:
+      return Interval::Point(static_cast<double>(r.i));
+    case ValueType::kFloat:
+      return Interval::Point(r.f);
+    default:
+      return Interval::Whole();
+  }
+}
+
+// Point value of a closed reference leaf: its one load instruction, run on
+// a stack register.
+Interval LeafPoint(const Expr& leaf, const BoundEnv& env) {
+  const Insn insn = LeafInsn(leaf);
+  VmReg reg;
+  if (VmExec({&insn, 1}, {}, env.Context(), &reg) != nullptr) {
+    return Interval::Whole();
+  }
+  return PointOf(reg);
 }
 
 // True iff every variable referenced in `e` is closed in `env`.
@@ -144,7 +159,7 @@ Interval DeriveAggregate(const Expr& e, const BoundEnv& env) {
       return {static_cast<double>(std::max<int64_t>(n, 1)), kInf};
     }
     case AggFunc::kFirst: {
-      if (n > 0) return PointOf(e, env);  // first iteration is fixed forever
+      if (n > 0) return LeafPoint(e, env);  // first iteration is fixed forever
       return range;
     }
     case AggFunc::kLast:
@@ -210,7 +225,7 @@ Interval Derive(const Expr& e, const BoundEnv& env) {
     case ExprKind::kVarRef: {
       if (env.IsClosed(e.var_index) ||
           env.Context().SingleEvent(e.var_index) != nullptr) {
-        return PointOf(e, env);
+        return LeafPoint(e, env);
       }
       return env.AttrRange(e.attr_index);
     }
@@ -218,11 +233,11 @@ Interval Derive(const Expr& e, const BoundEnv& env) {
     case ExprKind::kIterRef:
       // Only appears in predicates, which the pruner does not bound; be
       // conservative if we ever get here.
-      return env.IsClosed(e.var_index) ? PointOf(e, env)
+      return env.IsClosed(e.var_index) ? LeafPoint(e, env)
                                        : env.AttrRange(e.attr_index);
 
     case ExprKind::kAggregate:
-      if (env.IsClosed(e.var_index)) return PointOf(e, env);
+      if (env.IsClosed(e.var_index)) return LeafPoint(e, env);
       return DeriveAggregate(e, env);
 
     case ExprKind::kUnary: {
@@ -343,9 +358,16 @@ Interval Derive(const Expr& e, const BoundEnv& env) {
 
 }  // namespace
 
-Interval DeriveBounds(const Expr& expr, const BoundEnv& env) {
+Interval DeriveBounds(const Expr& expr, const BytecodeProgram& prog,
+                      const BoundEnv& env, VmState* vm) {
   // Fast path: a fully closed expression is just its value.
-  if (AllRefsClosed(expr, env)) return PointOf(expr, env);
+  if (AllRefsClosed(expr, env)) {
+    VmReg* regs = vm->Acquire(prog.num_regs);
+    if (VmExec(prog.code, prog.constants, env.Context(), regs) != nullptr) {
+      return Interval::Whole();
+    }
+    return PointOf(regs[0]);
+  }
   return Derive(expr, env);
 }
 

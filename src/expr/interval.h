@@ -5,8 +5,10 @@
 #include <optional>
 #include <string>
 
+#include "expr/bytecode.h"
 #include "expr/eval.h"
 #include "expr/expr.h"
+#include "expr/vm.h"
 
 namespace cepr {
 
@@ -100,10 +102,16 @@ class BoundEnv {
 /// falls back to Whole() where no finite bound exists (e.g. SUM over a
 /// sign-indefinite attribute with unbounded future iterations).
 ///
+/// `prog` is `expr` compiled to bytecode: when every reference in `expr` is
+/// closed, the bound is the point the VM computes for it (on `vm`'s
+/// registers). Closed leaves inside an open expression are evaluated the
+/// same way, one instruction each.
+///
 /// Soundness caveat: bounds are only as good as the attribute ranges. With
 /// declared ranges the pruner is exact; with learned ranges the engine must
 /// not prune until ranges are warmed (the ranker enforces this).
-Interval DeriveBounds(const Expr& expr, const BoundEnv& env);
+Interval DeriveBounds(const Expr& expr, const BytecodeProgram& prog,
+                      const BoundEnv& env, VmState* vm);
 
 }  // namespace cepr
 

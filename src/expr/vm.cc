@@ -9,10 +9,13 @@ namespace cepr {
 
 namespace {
 
-// The semantics below are a transliteration of the AST evaluator in
-// expr/eval.cc — every branch, check order and constant mirrors it; keep the
-// two in lockstep (tests/expr/bytecode_equivalence_test.cc enforces this
-// differentially). See eval.cc's MakeNumeric for the bounds discussion.
+// The semantics below are pinned by the reference tree walker in
+// tests/testing/reference_eval.cc — every branch, check order and constant
+// matches it (tests/expr/bytecode_equivalence_test.cc checks this
+// differentially).
+//
+// Exact double bounds of int64: -2^63 is representable, 2^63 is the first
+// double past INT64_MAX. The half-open test also rejects NaN.
 constexpr double kInt64LowerBound = -9223372036854775808.0;
 constexpr double kInt64UpperBound = 9223372036854775808.0;
 constexpr int64_t kInt64Min = std::numeric_limits<int64_t>::min();
@@ -47,8 +50,8 @@ inline double NumOf(const VmReg& r) {
   return r.tag == ValueType::kInt ? static_cast<double>(r.i) : r.f;
 }
 
-// MakeNumeric twin: pack a double into the static result type; NULL when an
-// INT result is NaN or rounds outside int64.
+// Packs a double into the static result type; NULL when an INT result is
+// NaN or rounds outside int64.
 inline void SetNumeric(VmReg& r, double x, ValueType type) {
   if (type == ValueType::kInt) {
     if (!(x >= kInt64LowerBound && x < kInt64UpperBound)) {
@@ -98,7 +101,7 @@ inline Value ToValue(const VmReg& r) {
   return Value::Null();
 }
 
-// FetchAttr twin.
+// Loads the addressed attribute (or timestamp) of `event`; NULL if unbound.
 inline void LoadAttr(VmReg& r, const Event* event, int attr_index) {
   if (event == nullptr) {
     SetNull(r);
@@ -111,19 +114,17 @@ inline void LoadAttr(VmReg& r, const Event* event, int attr_index) {
   SetFromValue(r, event->value(static_cast<size_t>(attr_index)));
 }
 
-/// Runs `prog`, leaving the result in regs[0]. Returns nullptr on success or
-/// a static error message (surfaced as Status::Internal, matching the AST
-/// evaluator's error class).
-const char* Exec(const BytecodeProgram& prog, const EvalContext& ctx,
-                 VmReg* regs) {
-  const Insn* code = prog.code.data();
-  const size_t n = prog.code.size();
+}  // namespace
+
+const char* VmExec(std::span<const Insn> code, std::span<const Value> constants,
+                   const EvalContext& ctx, VmReg* regs) {
+  const size_t n = code.size();
   for (size_t pc = 0; pc < n; ++pc) {
     const Insn& in = code[pc];
     VmReg& d = regs[in.dst];
     switch (in.op) {
       case OpCode::kLoadConst:
-        SetFromValue(d, prog.constants[static_cast<size_t>(in.imm)]);
+        SetFromValue(d, constants[static_cast<size_t>(in.imm)]);
         break;
       case OpCode::kLoadNull:
         SetNull(d);
@@ -357,8 +358,8 @@ const char* Exec(const BytecodeProgram& prog, const EvalContext& ctx,
           SetNull(d);
           break;
         }
-        // x % -1 is 0 for every x; INT64_MIN % -1 overflows the hardware
-        // divide (see eval.cc).
+        // x % -1 is 0 for every x, but INT64_MIN % -1 overflows the hardware
+        // divide (SIGFPE on x86); answer directly.
         if (y.i == -1) {
           SetInt(d, 0);
           break;
@@ -522,7 +523,7 @@ const char* Exec(const BytecodeProgram& prog, const EvalContext& ctx,
           return "SUBSTR argument type mismatch";
         }
         const std::string& text = *str.s;
-        // SQL-style 1-based start; out-of-range clamps (mirrors eval.cc).
+        // SQL-style 1-based start; out-of-range clamps.
         int64_t begin = start.i - 1;
         int64_t count = len.i;
         if (begin < 0) {
@@ -544,19 +545,21 @@ const char* Exec(const BytecodeProgram& prog, const EvalContext& ctx,
   return nullptr;
 }
 
-}  // namespace
-
 Result<Value> VmEvaluate(const BytecodeProgram& prog, const EvalContext& ctx,
                          VmState* state) {
   VmReg* regs = state->Acquire(prog.num_regs);
-  if (const char* err = Exec(prog, ctx, regs)) return Status::Internal(err);
+  if (const char* err = VmExec(prog.code, prog.constants, ctx, regs)) {
+    return Status::Internal(err);
+  }
   return ToValue(regs[0]);
 }
 
 Result<bool> VmEvaluatePredicate(const BytecodeProgram& prog,
                                  const EvalContext& ctx, VmState* state) {
   VmReg* regs = state->Acquire(prog.num_regs);
-  if (const char* err = Exec(prog, ctx, regs)) return Status::Internal(err);
+  if (const char* err = VmExec(prog.code, prog.constants, ctx, regs)) {
+    return Status::Internal(err);
+  }
   if (regs[0].tag == ValueType::kBool) return regs[0].b;
   if (regs[0].tag == ValueType::kNull) return false;
   return Status::Internal("predicate evaluated to non-bool (bytecode)");
@@ -565,7 +568,7 @@ Result<bool> VmEvaluatePredicate(const BytecodeProgram& prog,
 double VmEvaluateScore(const BytecodeProgram& prog, const EvalContext& ctx,
                        VmState* state) {
   VmReg* regs = state->Acquire(prog.num_regs);
-  if (Exec(prog, ctx, regs) != nullptr) {
+  if (VmExec(prog.code, prog.constants, ctx, regs) != nullptr) {
     return -std::numeric_limits<double>::infinity();
   }
   const VmReg& r = regs[0];

@@ -1,6 +1,7 @@
 #ifndef CEPR_EXPR_VM_H_
 #define CEPR_EXPR_VM_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,18 +38,42 @@ class VmState {
   std::vector<VmReg> regs_;
 };
 
-/// Bytecode twins of Evaluate / EvaluatePredicate / EvaluateScore (see
-/// expr/eval.h for the semantics). Guaranteed bit-identical to the AST
-/// evaluator — same values, same NULL propagation, same overflow-to-NULL
-/// arithmetic, and error statuses in exactly the same situations — which is
-/// what lets the matcher fall back to the AST walker for an expression
-/// Compile emitted no program for without changing any ranked output.
+/// Evaluates a compiled expression. NULL propagates through arithmetic and
+/// comparisons (a NULL operand yields NULL); AND/OR use three-valued logic
+/// (FALSE AND NULL = FALSE, TRUE OR NULL = TRUE). Division / modulo by zero
+/// yields NULL.
+///
+/// Integer arithmetic is exact and UB-free (the contract UBSan enforces):
+/// int64 +/-/* detect overflow via __builtin_*_overflow and yield NULL;
+/// `x % -1` is 0 for every x (including INT64_MIN, which would trap
+/// natively); negation and ABS of INT64_MIN yield NULL; FLOOR/CEIL/ROUND
+/// guard the float->int cast to [-2^63, 2^63) and yield NULL outside it
+/// (NaN and ±inf included). Int/int division is double-typed, so
+/// INT64_MIN / -1 is a finite float. Int-int ordering comparisons are
+/// exact (never routed through double).
+///
+/// Returns an error Status (Internal) only for malformed trees (a runtime
+/// type the checker would have rejected), which indicates a compiler bug
+/// rather than a data condition.
 Result<Value> VmEvaluate(const BytecodeProgram& prog, const EvalContext& ctx,
                          VmState* state);
+/// Evaluates a predicate to a definite boolean: NULL counts as false, and a
+/// non-BOOL result is an error.
 Result<bool> VmEvaluatePredicate(const BytecodeProgram& prog,
                                  const EvalContext& ctx, VmState* state);
+/// Evaluates an expression to a double for scoring. NULL, non-numeric
+/// results and errors map to -infinity (so failed scores never enter a
+/// top-k).
 double VmEvaluateScore(const BytecodeProgram& prog, const EvalContext& ctx,
                        VmState* state);
+
+/// Runs `code` against `ctx`, leaving the result in regs[0]; `regs` must
+/// hold every register the code addresses. Returns nullptr on success, or
+/// the static message VmEvaluate reports as Status::Internal. The pruner
+/// runs a lone LeafInsn through it on one stack register, with no
+/// constants and no heap allocation.
+const char* VmExec(std::span<const Insn> code, std::span<const Value> constants,
+                   const EvalContext& ctx, VmReg* regs);
 
 }  // namespace cepr
 

@@ -1,5 +1,6 @@
 #include "lang/parser.h"
 
+#include <optional>
 #include <utility>
 
 #include "common/strings.h"
@@ -65,10 +66,63 @@ class Parser {
     return true;
   }
 
-  Status Error(const std::string& msg) const {
-    return Status::ParseError(msg + ", got " + Peek().Describe() + " at line " +
-                              std::to_string(Peek().line) + ", column " +
-                              std::to_string(Peek().column));
+  // Every parse error names the offending token and its position: the
+  // next token by default, or `at` for one already consumed.
+  Status Error(const std::string& msg) const { return Error(msg, Peek()); }
+  Status Error(const std::string& msg, const Token& at) const {
+    return Status::ParseError(msg + ", got " + at.Describe() + " at line " +
+                              std::to_string(at.line) + ", column " +
+                              std::to_string(at.column));
+  }
+
+  // Runs `parse` one nesting level deeper: hostile text cannot recurse the
+  // parser past kMaxExprNesting levels.
+  template <typename F>
+  Result<ExprPtr> Nested(F parse) {
+    if (depth_ >= kMaxExprNesting) {
+      return Error("expression nested deeper than " +
+                   std::to_string(kMaxExprNesting) + " levels");
+    }
+    ++depth_;
+    Result<ExprPtr> e = parse();
+    --depth_;
+    return e;
+  }
+
+  // Rejects a node taller than kMaxExprHeight: operator chains and IN lists
+  // grow the tree without nesting the parser, and every later pass over
+  // the tree recurses once per level.
+  Result<ExprPtr> Bounded(ExprPtr e) const {
+    if (e->height > kMaxExprHeight) {
+      return Error("expression taller than " + std::to_string(kMaxExprHeight) +
+                   " levels");
+    }
+    return e;
+  }
+
+  // IN and BETWEEN desugar by copying their left operand. One statement may
+  // copy at most kMaxCopiedNodes nodes in all, so nesting them cannot grow
+  // the tree exponentially.
+  static constexpr size_t kMaxCopiedNodes = size_t{1} << 16;
+
+  // Nodes in `e`, counting no further than `limit`.
+  static size_t CountNodes(const Expr& e, size_t limit) {
+    size_t n = 1;
+    for (const auto& c : e.children) {
+      if (n >= limit) break;
+      n += CountNodes(*c, limit - n);
+    }
+    return n;
+  }
+
+  Result<ExprPtr> CopyOperand(const Expr& e) {
+    const size_t n = CountNodes(e, copy_budget_ + 1);
+    if (n > copy_budget_) {
+      return Error("IN / BETWEEN would copy more than " +
+                   std::to_string(kMaxCopiedNodes) + " expression nodes");
+    }
+    copy_budget_ -= n;
+    return e.Clone();
   }
 
   Status Expect(TokenKind kind, const std::string& context) {
@@ -187,10 +241,10 @@ class Parser {
       } else if (EqualsIgnoreCase(name, "skip_till_any_match")) {
         q->strategy = SelectionStrategy::kSkipTillAny;
       } else {
-        return Status::ParseError(
-            "unknown selection strategy '" + name +
-            "' (expected STRICT_CONTIGUITY, SKIP_TILL_NEXT_MATCH or "
-            "SKIP_TILL_ANY_MATCH)");
+        return Error("unknown selection strategy '" + name +
+                         "' (expected STRICT_CONTIGUITY, SKIP_TILL_NEXT_MATCH or "
+                         "SKIP_TILL_ANY_MATCH)",
+                     Previous());
       }
     }
 
@@ -211,7 +265,9 @@ class Parser {
         q->within_events = amount;  // count-based span
       } else {
         CEPR_ASSIGN_OR_RETURN(const Timestamp unit, ParseTimeUnit());
-        q->within_micros = amount * unit;
+        if (__builtin_mul_overflow(amount, unit, &q->within_micros)) {
+          return Error("WITHIN span out of range", Previous());
+        }
       }
     }
 
@@ -228,7 +284,7 @@ class Parser {
     if (Match(TokenKind::kLimit)) {
       if (!Match(TokenKind::kInteger)) return Error("expected integer after LIMIT");
       q->limit = Previous().int_value;
-      if (q->limit < 0) return Status::ParseError("LIMIT must be non-negative");
+      if (q->limit < 0) return Error("LIMIT must be non-negative", Previous());
     }
 
     if (Match(TokenKind::kEmit)) {
@@ -245,7 +301,7 @@ class Parser {
         if (!Match(TokenKind::kInteger)) return Error("expected count after EMIT EVERY");
         q->emit_every_n = Previous().int_value;
         if (q->emit_every_n <= 0) {
-          return Status::ParseError("EMIT EVERY count must be positive");
+          return Error("EMIT EVERY count must be positive", Previous());
         }
         if (!MatchSoft("events")) return Error("expected EVENTS after EMIT EVERY n");
         q->emit = EmitPolicy::kEveryNEvents;
@@ -316,18 +372,21 @@ class Parser {
     if (EqualsIgnoreCase(unit, "hours") || EqualsIgnoreCase(unit, "hour")) {
       return kMicrosPerHour;
     }
-    return Status::ParseError("unknown time unit '" + unit + "'");
+    return Error("unknown time unit '" + unit + "'", Previous());
   }
 
   // -- Expressions (precedence climbing) ---------------------------------
 
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  Result<ExprPtr> ParseExpr() {
+    return Nested([this] { return ParseOr(); });
+  }
 
   Result<ExprPtr> ParseOr() {
     CEPR_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
     while (Match(TokenKind::kOr)) {
       CEPR_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
-      lhs = Expr::Binary(BinaryOp::kOr, std::move(lhs), std::move(rhs));
+      CEPR_ASSIGN_OR_RETURN(
+          lhs, Bounded(Expr::Binary(BinaryOp::kOr, std::move(lhs), std::move(rhs))));
     }
     return lhs;
   }
@@ -336,47 +395,24 @@ class Parser {
     CEPR_ASSIGN_OR_RETURN(ExprPtr lhs, ParseNot());
     while (Match(TokenKind::kAnd)) {
       CEPR_ASSIGN_OR_RETURN(ExprPtr rhs, ParseNot());
-      lhs = Expr::Binary(BinaryOp::kAnd, std::move(lhs), std::move(rhs));
+      CEPR_ASSIGN_OR_RETURN(
+          lhs, Bounded(Expr::Binary(BinaryOp::kAnd, std::move(lhs), std::move(rhs))));
     }
     return lhs;
   }
 
   Result<ExprPtr> ParseNot() {
     if (Match(TokenKind::kNot)) {
-      CEPR_ASSIGN_OR_RETURN(ExprPtr inner, ParseNot());
-      return Expr::Unary(UnaryOp::kNot, std::move(inner));
+      CEPR_ASSIGN_OR_RETURN(ExprPtr inner, Nested([this] { return ParseNot(); }));
+      return Bounded(Expr::Unary(UnaryOp::kNot, std::move(inner)));
     }
     return ParseComparison();
   }
 
   Result<ExprPtr> ParseComparison() {
     CEPR_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAdditive());
-
-    // x BETWEEN lo AND hi  ==>  (x >= lo AND x <= hi)
-    if (MatchSoft("between")) {
-      CEPR_ASSIGN_OR_RETURN(ExprPtr lo, ParseAdditive());
-      CEPR_RETURN_IF_ERROR(Expect(TokenKind::kAnd, "in BETWEEN ... AND ..."));
-      CEPR_ASSIGN_OR_RETURN(ExprPtr hi, ParseAdditive());
-      ExprPtr ge = Expr::Binary(BinaryOp::kGe, lhs->Clone(), std::move(lo));
-      ExprPtr le = Expr::Binary(BinaryOp::kLe, std::move(lhs), std::move(hi));
-      return Expr::Binary(BinaryOp::kAnd, std::move(ge), std::move(le));
-    }
-
-    // x IN (e1, e2, ...)  ==>  (x = e1 OR x = e2 OR ...)
-    if (MatchSoft("in")) {
-      CEPR_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "after IN"));
-      ExprPtr disjunction;
-      do {
-        CEPR_ASSIGN_OR_RETURN(ExprPtr item, ParseExpr());
-        ExprPtr eq = Expr::Binary(BinaryOp::kEq, lhs->Clone(), std::move(item));
-        disjunction = disjunction == nullptr
-                          ? std::move(eq)
-                          : Expr::Binary(BinaryOp::kOr, std::move(disjunction),
-                                         std::move(eq));
-      } while (Match(TokenKind::kComma));
-      CEPR_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "to close IN list"));
-      return disjunction;
-    }
+    if (MatchSoft("between")) return ParseBetween(std::move(lhs));
+    if (MatchSoft("in")) return ParseInList(std::move(lhs));
 
     BinaryOp op;
     if (Match(TokenKind::kLt)) {
@@ -395,7 +431,40 @@ class Parser {
       return lhs;
     }
     CEPR_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
-    return Expr::Binary(op, std::move(lhs), std::move(rhs));
+    return Bounded(Expr::Binary(op, std::move(lhs), std::move(rhs)));
+  }
+
+  // BETWEEN and IN sit in functions of their own, off the frame of
+  // ParseComparison, which every nesting level passes through.
+
+  // x BETWEEN lo AND hi  ==>  (x >= lo AND x <= hi); BETWEEN consumed.
+  Result<ExprPtr> ParseBetween(ExprPtr lhs) {
+    CEPR_ASSIGN_OR_RETURN(ExprPtr lo, ParseAdditive());
+    CEPR_RETURN_IF_ERROR(Expect(TokenKind::kAnd, "in BETWEEN ... AND ..."));
+    CEPR_ASSIGN_OR_RETURN(ExprPtr hi, ParseAdditive());
+    CEPR_ASSIGN_OR_RETURN(ExprPtr lhs_copy, CopyOperand(*lhs));
+    ExprPtr ge = Expr::Binary(BinaryOp::kGe, std::move(lhs_copy), std::move(lo));
+    ExprPtr le = Expr::Binary(BinaryOp::kLe, std::move(lhs), std::move(hi));
+    return Bounded(Expr::Binary(BinaryOp::kAnd, std::move(ge), std::move(le)));
+  }
+
+  // x IN (e1, e2, ...)  ==>  (x = e1 OR x = e2 OR ...); IN consumed.
+  Result<ExprPtr> ParseInList(ExprPtr lhs) {
+    CEPR_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "after IN"));
+    ExprPtr disjunction;
+    do {
+      CEPR_ASSIGN_OR_RETURN(ExprPtr item, ParseExpr());
+      CEPR_ASSIGN_OR_RETURN(ExprPtr lhs_copy, CopyOperand(*lhs));
+      ExprPtr eq = Expr::Binary(BinaryOp::kEq, std::move(lhs_copy), std::move(item));
+      CEPR_ASSIGN_OR_RETURN(
+          disjunction,
+          Bounded(disjunction == nullptr
+                      ? std::move(eq)
+                      : Expr::Binary(BinaryOp::kOr, std::move(disjunction),
+                                     std::move(eq))));
+    } while (Match(TokenKind::kComma));
+    CEPR_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "to close IN list"));
+    return disjunction;
   }
 
   Result<ExprPtr> ParseAdditive() {
@@ -410,7 +479,7 @@ class Parser {
         return lhs;
       }
       CEPR_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
+      CEPR_ASSIGN_OR_RETURN(lhs, Bounded(Expr::Binary(op, std::move(lhs), std::move(rhs))));
     }
   }
 
@@ -428,14 +497,14 @@ class Parser {
         return lhs;
       }
       CEPR_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
+      CEPR_ASSIGN_OR_RETURN(lhs, Bounded(Expr::Binary(op, std::move(lhs), std::move(rhs))));
     }
   }
 
   Result<ExprPtr> ParseUnary() {
     if (Match(TokenKind::kMinus)) {
-      CEPR_ASSIGN_OR_RETURN(ExprPtr inner, ParseUnary());
-      return Expr::Unary(UnaryOp::kNeg, std::move(inner));
+      CEPR_ASSIGN_OR_RETURN(ExprPtr inner, Nested([this] { return ParseUnary(); }));
+      return Bounded(Expr::Unary(UnaryOp::kNeg, std::move(inner)));
     }
     return ParsePrimary();
   }
@@ -478,7 +547,7 @@ class Parser {
       children.push_back(std::move(value));
     }
     if (!MatchSoft("end")) return Error("expected END to close CASE");
-    return Expr::Case(std::move(children), has_else);
+    return Bounded(Expr::Case(std::move(children), has_else));
   }
 
   // identifier already peeked: one of
@@ -486,9 +555,10 @@ class Parser {
   //   name '.' attr       single-variable reference
   //   name '[' idx ']' '.' attr   Kleene iteration reference
   Result<ExprPtr> ParseReferenceOrCall() {
-    const std::string name = Advance().text;
+    const Token& name_token = Advance();
+    const std::string& name = name_token.text;
 
-    if (Match(TokenKind::kLParen)) return ParseCall(name);
+    if (Match(TokenKind::kLParen)) return ParseCall(name_token);
 
     if (Match(TokenKind::kDot)) {
       CEPR_ASSIGN_OR_RETURN(const std::string attr,
@@ -500,8 +570,8 @@ class Parser {
       IterKind iter;
       if (Match(TokenKind::kInteger)) {
         if (Previous().int_value != 1) {
-          return Status::ParseError(
-              "only [1], [i] and [i-1] iteration indexes are supported");
+          return Error("only [1], [i] and [i-1] iteration indexes are supported",
+                       Previous());
         }
         iter = IterKind::kFirst;
       } else if (MatchSoft("i")) {
@@ -526,8 +596,31 @@ class Parser {
     return Error("expected '.', '(' or '[' after identifier '" + name + "'");
   }
 
-  // '(' already consumed.
-  Result<ExprPtr> ParseCall(const std::string& name) {
+  // `name_token` and '(' already consumed.
+  Result<ExprPtr> ParseCall(const Token& name_token) {
+    const std::string& name = name_token.text;
+    for (const char* agg : {"min", "max", "sum", "avg", "count", "first", "last"}) {
+      if (EqualsIgnoreCase(name, agg)) return ParseAggregate(name);
+    }
+    // Scalar functions.
+    const std::optional<ScalarFunc> func = ScalarFuncNamed(name);
+    if (!func.has_value()) {
+      return Error("unknown function '" + name + "'", name_token);
+    }
+    std::vector<ExprPtr> args;
+    if (!Check(TokenKind::kRParen)) {
+      do {
+        CEPR_ASSIGN_OR_RETURN(ExprPtr arg, ParseExpr());
+        args.push_back(std::move(arg));
+      } while (Match(TokenKind::kComma));
+    }
+    CEPR_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "to close function call"));
+    return Bounded(Expr::Func(*func, std::move(args)));
+  }
+
+  // An aggregate call, name and '(' consumed. Kept off ParseCall's frame,
+  // which nesting through function arguments passes through.
+  Result<ExprPtr> ParseAggregate(const std::string& name) {
     // Aggregates with attribute argument: MIN(b.price) etc.
     const bool is_minmaxsumavg =
         EqualsIgnoreCase(name, "min") || EqualsIgnoreCase(name, "max") ||
@@ -553,68 +646,40 @@ class Parser {
       return Expr::Aggregate(AggFunc::kCount, var, "");
     }
 
-    if (EqualsIgnoreCase(name, "first") || EqualsIgnoreCase(name, "last")) {
-      CEPR_ASSIGN_OR_RETURN(const std::string var,
-                            ExpectIdentifier("as FIRST/LAST variable"));
-      CEPR_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "to close FIRST/LAST"));
-      CEPR_RETURN_IF_ERROR(Expect(TokenKind::kDot, "after FIRST/LAST"));
-      CEPR_ASSIGN_OR_RETURN(const std::string attr,
-                            ExpectIdentifier("as attribute name"));
-      return Expr::Aggregate(
-          EqualsIgnoreCase(name, "first") ? AggFunc::kFirst : AggFunc::kLast, var,
-          attr);
-    }
+    // FIRST / LAST.
+    CEPR_ASSIGN_OR_RETURN(const std::string var,
+                          ExpectIdentifier("as FIRST/LAST variable"));
+    CEPR_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "to close FIRST/LAST"));
+    CEPR_RETURN_IF_ERROR(Expect(TokenKind::kDot, "after FIRST/LAST"));
+    CEPR_ASSIGN_OR_RETURN(const std::string attr,
+                          ExpectIdentifier("as attribute name"));
+    return Expr::Aggregate(
+        EqualsIgnoreCase(name, "first") ? AggFunc::kFirst : AggFunc::kLast, var,
+        attr);
+  }
 
-    // Scalar functions.
-    ScalarFunc func;
-    if (EqualsIgnoreCase(name, "abs")) {
-      func = ScalarFunc::kAbs;
-    } else if (EqualsIgnoreCase(name, "sqrt")) {
-      func = ScalarFunc::kSqrt;
-    } else if (EqualsIgnoreCase(name, "log") || EqualsIgnoreCase(name, "ln")) {
-      func = ScalarFunc::kLog;
-    } else if (EqualsIgnoreCase(name, "exp")) {
-      func = ScalarFunc::kExp;
-    } else if (EqualsIgnoreCase(name, "pow")) {
-      func = ScalarFunc::kPow;
-    } else if (EqualsIgnoreCase(name, "floor")) {
-      func = ScalarFunc::kFloor;
-    } else if (EqualsIgnoreCase(name, "ceil")) {
-      func = ScalarFunc::kCeil;
-    } else if (EqualsIgnoreCase(name, "round")) {
-      func = ScalarFunc::kRound;
-    } else if (EqualsIgnoreCase(name, "least")) {
-      func = ScalarFunc::kLeast;
-    } else if (EqualsIgnoreCase(name, "greatest")) {
-      func = ScalarFunc::kGreatest;
-    } else if (EqualsIgnoreCase(name, "upper")) {
-      func = ScalarFunc::kUpper;
-    } else if (EqualsIgnoreCase(name, "lower")) {
-      func = ScalarFunc::kLower;
-    } else if (EqualsIgnoreCase(name, "length")) {
-      func = ScalarFunc::kLength;
-    } else if (EqualsIgnoreCase(name, "concat")) {
-      func = ScalarFunc::kConcat;
-    } else if (EqualsIgnoreCase(name, "substr") ||
-               EqualsIgnoreCase(name, "substring")) {
-      func = ScalarFunc::kSubstr;
-    } else {
-      return Status::ParseError("unknown function '" + name + "'");
+  static std::optional<ScalarFunc> ScalarFuncNamed(const std::string& name) {
+    static constexpr std::pair<const char*, ScalarFunc> kFuncs[] = {
+        {"abs", ScalarFunc::kAbs},         {"sqrt", ScalarFunc::kSqrt},
+        {"log", ScalarFunc::kLog},         {"ln", ScalarFunc::kLog},
+        {"exp", ScalarFunc::kExp},         {"pow", ScalarFunc::kPow},
+        {"floor", ScalarFunc::kFloor},     {"ceil", ScalarFunc::kCeil},
+        {"round", ScalarFunc::kRound},     {"least", ScalarFunc::kLeast},
+        {"greatest", ScalarFunc::kGreatest}, {"upper", ScalarFunc::kUpper},
+        {"lower", ScalarFunc::kLower},     {"length", ScalarFunc::kLength},
+        {"concat", ScalarFunc::kConcat},   {"substr", ScalarFunc::kSubstr},
+        {"substring", ScalarFunc::kSubstr},
+    };
+    for (const auto& [spelling, func] : kFuncs) {
+      if (EqualsIgnoreCase(name, spelling)) return func;
     }
-
-    std::vector<ExprPtr> args;
-    if (!Check(TokenKind::kRParen)) {
-      do {
-        CEPR_ASSIGN_OR_RETURN(ExprPtr arg, ParseExpr());
-        args.push_back(std::move(arg));
-      } while (Match(TokenKind::kComma));
-    }
-    CEPR_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "to close function call"));
-    return Expr::Func(func, std::move(args));
+    return std::nullopt;
   }
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // expression nesting, see Nested
+  size_t copy_budget_ = kMaxCopiedNodes;  // see CopyOperand
 };
 
 }  // namespace

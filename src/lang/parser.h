@@ -8,8 +8,16 @@
 
 namespace cepr {
 
+/// Deepest the parser nests an expression: parentheses, prefix NOT and `-`,
+/// function arguments and CASE arms each open a level. Every level costs
+/// the parser a dozen stack frames, so this is tighter than the tree
+/// height limit (kMaxExprHeight), which operator chains and IN lists reach
+/// without nesting.
+constexpr int kMaxExprNesting = 256;
+
 /// Parses one CEPR-QL pattern query (SELECT ... MATCH PATTERN ...).
-/// Returns ParseError with source position on malformed input. The result
+/// Returns ParseError with source position on malformed input, including
+/// expressions past kMaxExprNesting or kMaxExprHeight. The result
 /// is unresolved: run the semantic Analyzer before compiling.
 Result<QueryAst> ParseQuery(std::string_view text);
 

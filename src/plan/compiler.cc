@@ -298,51 +298,49 @@ Result<CompiledQueryPtr> Compile(AnalyzedQuery analyzed) {
     }
   }
 
-  cq->score = analyzed.ast.rank_by.get();
-  if (cq->score != nullptr) {
-    StaticBoundEnv env(&cq->attr_ranges);
-    const Interval b = DeriveBounds(*cq->score, env);
-    cq->score_prunable = cq->rank_desc ? std::isfinite(b.hi) : std::isfinite(b.lo);
-  }
-
   cq->analyzed = std::move(analyzed);
-  // `score` points into analyzed.ast which was moved; re-point it.
   cq->score = cq->analyzed.ast.rank_by.get();
 
   // -- Bytecode compilation ----------------------------------------------------
-  // Every predicate / select / score tree gets a flat program for the VM hot
-  // path (expr/vm.h). Must run after aggregate-slot assignment: programs
-  // bake in agg_slot indices. A nullptr program (tree too deep for the
-  // register file) falls back to the AST evaluator at that site.
+  // Every predicate / select / score tree gets a program for the VM, the
+  // only evaluator (expr/vm.h). Must run after aggregate-slot assignment:
+  // programs bake in agg_slot indices.
   int num_progs = 0;
-  const auto compile_group = [&num_progs](const std::vector<ExprPtr>& preds,
-                                          std::vector<BytecodeProgramPtr>* progs) {
+  const auto compile = [&num_progs](const Expr& e) -> Result<BytecodeProgramPtr> {
+    ++num_progs;
+    return CompileToBytecodeShared(e);
+  };
+  const auto compile_group = [&compile](const std::vector<ExprPtr>& preds,
+                                        std::vector<BytecodeProgramPtr>* progs)
+      -> Status {
     progs->clear();
     progs->reserve(preds.size());
     for (const ExprPtr& p : preds) {
-      BytecodeProgramPtr prog = CompileToBytecodeShared(*p);
-      if (prog != nullptr) ++num_progs;
+      CEPR_ASSIGN_OR_RETURN(BytecodeProgramPtr prog, compile(*p));
       progs->push_back(std::move(prog));
     }
+    return Status::OK();
   };
   for (CompiledComponent& comp : cq->pattern.components) {
-    compile_group(comp.begin_preds, &comp.begin_pred_progs);
-    compile_group(comp.iter_preds, &comp.iter_pred_progs);
-    compile_group(comp.exit_preds, &comp.exit_pred_progs);
+    CEPR_RETURN_IF_ERROR(compile_group(comp.begin_preds, &comp.begin_pred_progs));
+    CEPR_RETURN_IF_ERROR(compile_group(comp.iter_preds, &comp.iter_pred_progs));
+    CEPR_RETURN_IF_ERROR(compile_group(comp.exit_preds, &comp.exit_pred_progs));
     if (comp.negation_before.has_value()) {
-      compile_group(comp.negation_before->preds,
-                    &comp.negation_before->pred_progs);
+      CEPR_RETURN_IF_ERROR(compile_group(comp.negation_before->preds,
+                                         &comp.negation_before->pred_progs));
     }
   }
   cq->select_progs.reserve(cq->analyzed.ast.select.size());
   for (const SelectItemAst& item : cq->analyzed.ast.select) {
-    BytecodeProgramPtr prog = CompileToBytecodeShared(*item.expr);
-    if (prog != nullptr) ++num_progs;
+    CEPR_ASSIGN_OR_RETURN(BytecodeProgramPtr prog, compile(*item.expr));
     cq->select_progs.push_back(std::move(prog));
   }
   if (cq->score != nullptr) {
-    cq->score_prog = CompileToBytecodeShared(*cq->score);
-    if (cq->score_prog != nullptr) ++num_progs;
+    CEPR_ASSIGN_OR_RETURN(cq->score_prog, compile(*cq->score));
+    StaticBoundEnv env(&cq->attr_ranges);
+    VmState vm;
+    const Interval b = DeriveBounds(*cq->score, *cq->score_prog, env, &vm);
+    cq->score_prunable = cq->rank_desc ? std::isfinite(b.hi) : std::isfinite(b.lo);
   }
   cq->num_bytecode_programs = num_progs;
 

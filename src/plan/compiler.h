@@ -45,13 +45,15 @@ struct CompiledQuery {
   std::vector<Value> template_params;
 
   /// Compiled bytecode for SELECT items (parallel to analyzed.ast.select)
-  /// and the RANK BY score, executed by the matcher; nullptr entries fall
-  /// back to the AST evaluator. Predicate programs
-  /// live on the pattern's components (see plan/pattern.h).
+  /// and the RANK BY score (null iff `score` is), executed by the matcher,
+  /// the DAG enumerator and the pruner. Predicate programs live on the
+  /// pattern's components (see plan/pattern.h). Never null otherwise:
+  /// Compile fails rather than leave an expression without a program.
   std::vector<BytecodeProgramPtr> select_progs;
   BytecodeProgramPtr score_prog;
-  /// Total programs compiled for this query (predicates + selects + score);
-  /// surfaced as the `bytecode_compiled_preds` metric.
+  /// Total programs compiled for this query (predicates + selects + score),
+  /// i.e. every expression it evaluates; surfaced as the
+  /// `bytecode_compiled_preds` metric.
   int num_bytecode_programs = 0;
 
   /// Declared value range per schema attribute (Whole() if undeclared).
@@ -77,8 +79,11 @@ using CompiledQueryPtr = std::shared_ptr<const CompiledQuery>;
 ///  2. pushes each conjunct onto the latest pattern component that can
 ///     evaluate it (begin / iter / exit / negation groups);
 ///  3. assigns incremental-aggregate slots across all expressions;
-///  4. captures declared attribute ranges and decides static prunability;
-///  5. builds the formal NFA.
+///  4. captures declared attribute ranges;
+///  5. compiles every predicate / select / score tree to bytecode (failing
+///     rather than leaving one without a program) and decides static
+///     prunability;
+///  6. builds the formal NFA.
 ///
 /// Rejects conjuncts that reference a current-iteration (v[i]) of a Kleene
 /// variable that is not the conjunct's latest reference, and negation

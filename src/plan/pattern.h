@@ -26,7 +26,7 @@ struct CompiledNegation {
   /// compiler classified event-only (IsEventOnlyPredicate), -1 for
   /// correlated ones.
   std::vector<int> pred_cache_ids;
-  /// Parallel to `preds`: compiled bytecode (nullptr = AST fallback).
+  /// Parallel to `preds`: compiled bytecode, never null.
   std::vector<BytecodeProgramPtr> pred_progs;
 };
 
@@ -51,8 +51,8 @@ struct CompiledComponent {
   /// conjuncts that must be evaluated against each run's bindings.
   std::vector<ExprPtr> begin_preds;
   std::vector<int> begin_pred_cache_ids;
-  /// Parallel to `begin_preds`: compiled bytecode the matcher executes
-  /// (nullptr = AST fallback, e.g. a tree too deep for the register file).
+  /// Parallel to `begin_preds`: compiled bytecode the matcher executes,
+  /// never null (likewise `iter_pred_progs` and `exit_pred_progs`).
   std::vector<BytecodeProgramPtr> begin_pred_progs;
 
   /// Kleene components: conjuncts containing a current-iteration reference

@@ -8,6 +8,7 @@
 
 #include "expr/eval.h"
 #include "expr/interval.h"
+#include "expr/vm.h"
 
 namespace cepr {
 
@@ -217,7 +218,7 @@ struct WorseEntry {
 }  // namespace
 
 void EnumerateLazyMatches(const std::vector<LazyMatchSet>& sets, TopK* topk,
-                          uint64_t* matches_enumerated,
+                          VmState* vm, uint64_t* matches_enumerated,
                           uint64_t* enumeration_cutoffs) {
   if (sets.empty()) return;
   const CompiledQuery* plan = sets.front().group()->plan;
@@ -242,7 +243,7 @@ void EnumerateLazyMatches(const std::vector<LazyMatchSet>& sets, TopK* topk,
     env.Rebind(&ctxs[set], &slots,
                Interval::Of(static_cast<double>(node->cmin + len),
                             static_cast<double>(node->cmax + len)));
-    const Interval b = DeriveBounds(*plan->score, env);
+    const Interval b = DeriveBounds(*plan->score, *plan->score_prog, env, vm);
     return desc ? b.hi : b.lo;
   };
 
@@ -302,12 +303,12 @@ void EnumerateLazyMatches(const std::vector<LazyMatchSet>& sets, TopK* topk,
         AggStates aggs = g.base_aggs;
         for (const EventPtr& ev : tb) aggs.Accept(trailing, *ev);
         PathContext ctx(&m.bindings, &aggs);
-        m.row.reserve(plan->analyzed.ast.select.size());
-        for (const auto& item : plan->analyzed.ast.select) {
-          auto v = Evaluate(*item.expr, ctx);
+        m.row.reserve(plan->select_progs.size());
+        for (const BytecodeProgramPtr& prog : plan->select_progs) {
+          auto v = VmEvaluate(*prog, ctx, vm);
           m.row.push_back(v.ok() ? std::move(v).value() : Value::Null());
         }
-        m.score = EvaluateScore(*plan->score, ctx);
+        m.score = VmEvaluateScore(*plan->score_prog, ctx, vm);
         ++*matches_enumerated;
         topk->Offer(std::move(m));
         break;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "engine/match_dag.h"
+#include "expr/vm.h"
 #include "rank/topk.h"
 
 namespace cepr {
@@ -26,11 +27,12 @@ namespace cepr {
 /// Equal bounds must keep going: the content tie-break (OutranksMatch) can
 /// still displace a retained match at the same score.
 ///
-/// Offers every materialized match to `topk`. `matches_enumerated` counts
-/// materializations and `enumeration_cutoffs` counts early stops; both are
-/// incremented (never reset) so callers aggregate across windows.
+/// Offers every materialized match to `topk`; bounds, SELECT rows and
+/// scores run the plan's bytecode on `vm`'s registers. `matches_enumerated`
+/// counts materializations and `enumeration_cutoffs` counts early stops;
+/// both are incremented (never reset) so callers aggregate across windows.
 void EnumerateLazyMatches(const std::vector<LazyMatchSet>& sets, TopK* topk,
-                          uint64_t* matches_enumerated,
+                          VmState* vm, uint64_t* matches_enumerated,
                           uint64_t* enumeration_cutoffs);
 
 }  // namespace cepr

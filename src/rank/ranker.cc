@@ -41,8 +41,9 @@ Ranker::Ranker(CompiledQueryPtr plan, RankerPolicy policy)
     const PruneScope scope = plan_->emit == EmitPolicy::kOnComplete
                                  ? PruneScope::kGlobal
                                  : PruneScope::kTimeWindow;
-    pruner_ = std::make_unique<ScorePruner>(plan_->score, plan_->rank_desc,
-                                            scope, plan_->within_micros);
+    pruner_ = std::make_unique<ScorePruner>(plan_->score, plan_->score_prog.get(),
+                                            plan_->rank_desc, scope,
+                                            plan_->within_micros);
   }
   if (policy_ == RankerPolicy::kHeap || policy_ == RankerPolicy::kPruned) {
     topk_ = std::make_unique<TopK>(EffectiveK(), plan_->rank_desc);
@@ -160,7 +161,8 @@ void Ranker::CloseWindow(std::vector<RankedResult>* out) {
           // strictly worse than the k-th retained score.
           uint64_t enumerated = 0;
           uint64_t cutoffs = 0;
-          EnumerateLazyMatches(pending_, topk_.get(), &enumerated, &cutoffs);
+          EnumerateLazyMatches(pending_, topk_.get(), &vm_, &enumerated,
+                               &cutoffs);
           matches_enumerated_.Add(enumerated);
           enumeration_cutoffs_.Add(cutoffs);
           pending_.clear();

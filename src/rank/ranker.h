@@ -137,6 +137,9 @@ class Ranker {
 
   /// Deferred lazy-DAG match sets of the open window (dag mode only).
   std::vector<LazyMatchSet> pending_;
+  /// Registers for the lazy enumerator's bytecode (single-threaded like
+  /// the rest of the ranker).
+  VmState vm_;
   std::shared_ptr<MatchDagStore> dag_store_;  // for LoadState of pending_
   RelaxedCounter matches_enumerated_;
   RelaxedCounter enumeration_cutoffs_;

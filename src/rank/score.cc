@@ -13,7 +13,7 @@ bool ScorePruner::ShouldPrune(const Run& run) const {
     if (within_ <= 0 || run.first_ts() + within_ >= window_end_) return false;
   }
   checks_.Increment();
-  const Interval bound = DeriveBounds(*score_, run);
+  const Interval bound = DeriveBounds(*score_, *score_prog_, run, &vm_);
   const bool prune = desc_ ? bound.hi <= threshold_ : bound.lo >= threshold_;
   if (prune) prunes_.Increment();
   return prune;

@@ -33,12 +33,16 @@ enum class PruneScope {
 /// get no pruner at all: any run may outlive the current window there.
 class ScorePruner : public RunPruner {
  public:
-  /// `score` must outlive the pruner (owned by the compiled query).
-  /// `within_micros` is the query's WITHIN span (bounds a run's lifetime);
-  /// only used for kTimeWindow scope.
-  ScorePruner(const Expr* score, bool desc, PruneScope scope,
-              Timestamp within_micros)
-      : score_(score), desc_(desc), scope_(scope), within_(within_micros) {}
+  /// `score` and its bytecode `score_prog` must outlive the pruner (owned
+  /// by the compiled query). `within_micros` is the query's WITHIN span
+  /// (bounds a run's lifetime); only used for kTimeWindow scope.
+  ScorePruner(const Expr* score, const BytecodeProgram* score_prog, bool desc,
+              PruneScope scope, Timestamp within_micros)
+      : score_(score),
+        score_prog_(score_prog),
+        desc_(desc),
+        scope_(scope),
+        within_(within_micros) {}
 
   /// Installs the current entry bar: with DESC ranking a run is pruned when
   /// its score upper bound is <= threshold (ties lose to earlier matches);
@@ -74,6 +78,7 @@ class ScorePruner : public RunPruner {
 
  private:
   const Expr* score_;
+  const BytecodeProgram* score_prog_;
   bool desc_;
   PruneScope scope_;
   Timestamp within_;
@@ -82,6 +87,9 @@ class ScorePruner : public RunPruner {
   Timestamp window_end_ = 0;
   mutable RelaxedCounter checks_;
   mutable RelaxedCounter prunes_;
+  /// Registers for DeriveBounds (only the matcher's thread calls
+  /// ShouldPrune).
+  mutable VmState vm_;
 };
 
 }  // namespace cepr

@@ -1,8 +1,8 @@
-// Differential fuzz test: the bytecode VM must be bit-identical to the AST
-// evaluator — same value for every OK evaluation, NULL where the other is
-// NULL, and an error status with the same code where the other errors. This
-// is the property that lets the matcher fall back to the AST walker for an
-// expression Compile emitted no program for without changing ranked output
+// Differential fuzz test: the bytecode VM, the engine's only evaluator, must
+// be bit-identical to the reference tree walker (testing/reference_eval.h)
+// — same value for every OK evaluation, NULL where the other is NULL, and
+// an error status with the same code where the other errors. The walker
+// states the language's semantics independently of the compiler and VM
 // (docs/ARCHITECTURE.md, "Predicate bytecode").
 //
 // We generate random type-correct expression trees over the SEQ(a, b+, c)
@@ -14,7 +14,6 @@
 // normally reject.
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <random>
 #include <string>
@@ -29,12 +28,17 @@
 #include "expr/typecheck.h"
 #include "expr/vm.h"
 #include "testing/helpers.h"
+#include "testing/reference_eval.h"
 
 namespace cepr {
 namespace {
 
 using testing::AbcLayout;
+using testing::BitIdentical;
 using testing::FakeContext;
+using testing::ReferenceEvaluate;
+using testing::ReferenceEvaluatePredicate;
+using testing::ReferenceEvaluateScore;
 using testing::StockSchema;
 using testing::Tick;
 
@@ -261,29 +265,6 @@ class TreeGen {
   bool allow_iter_;
 };
 
-/// Bit-identity for values: same type, and for floats the same bit pattern
-/// (distinguishing -0.0 from 0.0) with all NaNs considered equal.
-bool BitIdentical(const Value& a, const Value& b) {
-  if (a.type() != b.type()) return false;
-  switch (a.type()) {
-    case ValueType::kNull:
-      return true;
-    case ValueType::kBool:
-      return a.AsBool() == b.AsBool();
-    case ValueType::kInt:
-      return a.AsInt() == b.AsInt();
-    case ValueType::kFloat: {
-      const double x = a.AsFloat();
-      const double y = b.AsFloat();
-      if (std::isnan(x) || std::isnan(y)) return std::isnan(x) && std::isnan(y);
-      return std::memcmp(&x, &y, sizeof(double)) == 0;
-    }
-    case ValueType::kString:
-      return a.AsString() == b.AsString();
-  }
-  return false;
-}
-
 struct Contexts {
   Contexts() {
     for (auto* c : {&empty, &partial, &full, &extreme}) {
@@ -315,12 +296,12 @@ struct Contexts {
   FakeContext extreme{3};
 };
 
-/// Evaluates `expr` with both evaluators against `ctx` and asserts
-/// equivalence of Evaluate/VmEvaluate, EvaluatePredicate/VmEvaluatePredicate
-/// (bool roots) and EvaluateScore/VmEvaluateScore (numeric roots).
+/// Evaluates `expr` with the reference and the VM against `ctx` and asserts
+/// equivalence of ReferenceEvaluate/VmEvaluate, the predicate pair (bool
+/// roots) and the score pair (numeric roots).
 void CheckEquivalent(const Expr& expr, const BytecodeProgram& prog,
                      const EvalContext& ctx, VmState* vm, const char* which) {
-  const Result<Value> ast = Evaluate(expr, ctx);
+  const Result<Value> ast = ReferenceEvaluate(expr, ctx);
   const Result<Value> bc = VmEvaluate(prog, ctx, vm);
   ASSERT_EQ(ast.ok(), bc.ok())
       << which << ": status mismatch for " << expr.ToString() << "\n  ast: "
@@ -334,7 +315,7 @@ void CheckEquivalent(const Expr& expr, const BytecodeProgram& prog,
   }
 
   if (expr.result_type == ValueType::kBool) {
-    const Result<bool> ap = EvaluatePredicate(expr, ctx);
+    const Result<bool> ap = ReferenceEvaluatePredicate(expr, ctx);
     const Result<bool> bp = VmEvaluatePredicate(prog, ctx, vm);
     ASSERT_EQ(ap.ok(), bp.ok()) << expr.ToString();
     if (ap.ok()) {
@@ -345,7 +326,7 @@ void CheckEquivalent(const Expr& expr, const BytecodeProgram& prog,
   }
   if (expr.result_type == ValueType::kInt ||
       expr.result_type == ValueType::kFloat) {
-    const double as = EvaluateScore(expr, ctx);
+    const double as = ReferenceEvaluateScore(expr, ctx);
     const double bs = VmEvaluateScore(prog, ctx, vm);
     if (std::isnan(as) || std::isnan(bs)) {
       EXPECT_TRUE(std::isnan(as) && std::isnan(bs)) << expr.ToString();
@@ -443,7 +424,7 @@ TEST(BytecodeEquivalence, MalformedTreesErrorIdentically) {
     e->result_type = ValueType::kBool;
     auto prog = CompileToBytecode(*e);
     ASSERT_TRUE(prog.ok()) << e->ToString();
-    const Result<Value> ast = Evaluate(*e, ctxs.full);
+    const Result<Value> ast = ReferenceEvaluate(*e, ctxs.full);
     const Result<Value> bc = VmEvaluate(*prog, ctxs.full, &vm);
     ASSERT_EQ(ast.ok(), bc.ok()) << e->ToString();
     if (!ast.ok()) {
@@ -453,7 +434,7 @@ TEST(BytecodeEquivalence, MalformedTreesErrorIdentically) {
       EXPECT_TRUE(BitIdentical(*ast, *bc)) << e->ToString();
     }
 
-    const Result<bool> ap = EvaluatePredicate(*e, ctxs.full);
+    const Result<bool> ap = ReferenceEvaluatePredicate(*e, ctxs.full);
     const Result<bool> bp = VmEvaluatePredicate(*prog, ctxs.full, &vm);
     ASSERT_EQ(ap.ok(), bp.ok()) << e->ToString();
     if (!ap.ok()) {
@@ -464,12 +445,12 @@ TEST(BytecodeEquivalence, MalformedTreesErrorIdentically) {
   }
   EXPECT_GE(errored, 5);
 
-  // A non-bool root makes EvaluatePredicate itself error identically.
+  // A non-bool root makes the predicate entry points error identically.
   ExprPtr num = Expr::Literal(Value::Int(7));
   num->result_type = ValueType::kInt;
   auto prog = CompileToBytecode(*num);
   ASSERT_TRUE(prog.ok());
-  const Result<bool> ap = EvaluatePredicate(*num, ctxs.empty);
+  const Result<bool> ap = ReferenceEvaluatePredicate(*num, ctxs.empty);
   const Result<bool> bp = VmEvaluatePredicate(*prog, ctxs.empty, &vm);
   ASSERT_FALSE(ap.ok());
   ASSERT_FALSE(bp.ok());

@@ -9,11 +9,15 @@
 #include "expr/typecheck.h"
 #include "lang/parser.h"
 #include "testing/helpers.h"
+#include "testing/reference_eval.h"
 
 namespace cepr {
 namespace {
 
 using testing::AbcLayout;
+using testing::CheckedEvaluate;
+using testing::CheckedEvaluatePredicate;
+using testing::CheckedEvaluateScore;
 using testing::FakeContext;
 using testing::Tick;
 
@@ -28,7 +32,7 @@ Value Eval(const std::string& text, const FakeContext& ctx,
   EXPECT_TRUE(st.ok()) << st.ToString();
   std::vector<Expr*> exprs = {e->get()};
   AssignAggSlots(exprs);
-  auto v = Evaluate(**e, ctx);
+  auto v = CheckedEvaluate(**e, ctx);
   EXPECT_TRUE(v.ok()) << v.status().ToString();
   return v.ok() ? *v : Value::Null();
 }
@@ -131,7 +135,7 @@ bool Predicate(const std::string& text, const FakeContext& ctx) {
   EXPECT_TRUE(TypeCheck(e.get(), layout, ExprContext::kPredicate).ok());
   std::vector<Expr*> exprs = {e.get()};
   AssignAggSlots(exprs);
-  auto r = EvaluatePredicate(*e, ctx);
+  auto r = CheckedEvaluatePredicate(*e, ctx);
   EXPECT_TRUE(r.ok());
   return r.ok() && r.value();
 }
@@ -194,7 +198,7 @@ Value EvalIntBinary(int64_t lhs, BinaryOp op, int64_t rhs) {
   auto st = TypeCheck(e.get(), layout, ExprContext::kOutput);
   EXPECT_TRUE(st.ok()) << st.ToString();
   FakeContext ctx(3);
-  auto v = Evaluate(*e, ctx);
+  auto v = CheckedEvaluate(*e, ctx);
   EXPECT_TRUE(v.ok()) << v.status().ToString();
   return v.ok() ? *v : Value::Bool(false);
 }
@@ -252,7 +256,7 @@ TEST(EvalTest, NegationAndAbsOfInt64MinYieldNull) {
 
   auto neg = Expr::Unary(UnaryOp::kNeg, Expr::Literal(Value::Int(kI64Min)));
   ASSERT_TRUE(TypeCheck(neg.get(), layout, ExprContext::kOutput).ok());
-  auto v = Evaluate(*neg, ctx);
+  auto v = CheckedEvaluate(*neg, ctx);
   ASSERT_TRUE(v.ok());
   EXPECT_TRUE(v->is_null());
 
@@ -260,7 +264,7 @@ TEST(EvalTest, NegationAndAbsOfInt64MinYieldNull) {
   args.push_back(Expr::Literal(Value::Int(kI64Min)));
   auto abs = Expr::Func(ScalarFunc::kAbs, std::move(args));
   ASSERT_TRUE(TypeCheck(abs.get(), layout, ExprContext::kOutput).ok());
-  v = Evaluate(*abs, ctx);
+  v = CheckedEvaluate(*abs, ctx);
   ASSERT_TRUE(v.ok());
   EXPECT_TRUE(v->is_null());
 }
@@ -273,7 +277,7 @@ TEST(EvalTest, FloatToIntCastsGuardTheRepresentableRange) {
     args.push_back(Expr::Literal(Value::Float(x)));
     auto e = Expr::Func(f, std::move(args));
     EXPECT_TRUE(TypeCheck(e.get(), layout, ExprContext::kOutput).ok());
-    auto v = Evaluate(*e, ctx);
+    auto v = CheckedEvaluate(*e, ctx);
     EXPECT_TRUE(v.ok()) << v.status().ToString();
     return v.ok() ? *v : Value::Bool(false);
   };
@@ -298,7 +302,7 @@ TEST(EvalTest, FloatToIntCastsGuardTheRepresentableRange) {
   args.push_back(Expr::Literal(Value::Int(kI64Max)));
   auto e = Expr::Func(ScalarFunc::kRound, std::move(args));
   ASSERT_TRUE(TypeCheck(e.get(), layout, ExprContext::kOutput).ok());
-  auto v = Evaluate(*e, ctx);
+  auto v = CheckedEvaluate(*e, ctx);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, Value::Int(kI64Max));
 }
@@ -309,9 +313,9 @@ TEST(EvalTest, EvaluateScoreMapsNullToNegInfinity) {
   auto e = ParseExpression("a.price * 2").value();
   ASSERT_TRUE(TypeCheck(e.get(), layout, ExprContext::kOutput).ok());
   // a unbound -> NULL -> -inf.
-  EXPECT_EQ(EvaluateScore(*e, ctx), -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(CheckedEvaluateScore(*e, ctx), -std::numeric_limits<double>::infinity());
   ctx.Bind(0, Tick(1, 21));
-  EXPECT_DOUBLE_EQ(EvaluateScore(*e, ctx), 42.0);
+  EXPECT_DOUBLE_EQ(CheckedEvaluateScore(*e, ctx), 42.0);
 }
 
 }  // namespace

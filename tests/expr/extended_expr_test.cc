@@ -8,11 +8,13 @@
 #include "lang/parser.h"
 #include "plan/compiler.h"
 #include "testing/helpers.h"
+#include "testing/reference_eval.h"
 
 namespace cepr {
 namespace {
 
 using testing::AbcLayout;
+using testing::CheckedEvaluate;
 using testing::FakeContext;
 using testing::Tick;
 
@@ -27,7 +29,7 @@ Value Eval(const std::string& text, const FakeContext& ctx,
   if (!st.ok()) return Value::Null();
   std::vector<Expr*> exprs = {e->get()};
   AssignAggSlots(exprs);
-  auto v = Evaluate(**e, ctx);
+  auto v = CheckedEvaluate(**e, ctx);
   EXPECT_TRUE(v.ok()) << v.status().ToString();
   return v.ok() ? *v : Value::Null();
 }

@@ -7,6 +7,7 @@
 
 #include "common/random.h"
 #include "expr/aggregate.h"
+#include "expr/bytecode.h"
 #include "expr/typecheck.h"
 #include "lang/parser.h"
 #include "testing/helpers.h"
@@ -102,10 +103,17 @@ ExprPtr Resolve(const std::string& text) {
   return e;
 }
 
+// DeriveBounds with `expr`'s own program, as the pruner calls it.
+Interval Bounds(const Expr& expr, const BoundEnv& env) {
+  const BytecodeProgram prog = CompileToBytecode(expr).value();
+  VmState vm;
+  return DeriveBounds(expr, prog, env, &vm);
+}
+
 TEST(DeriveBoundsTest, LiteralIsPoint) {
   FakeContext ctx(3);
   FakeBoundEnv env(&ctx);
-  const Interval r = DeriveBounds(*Resolve("42"), env);
+  const Interval r = Bounds(*Resolve("42"), env);
   EXPECT_EQ(r.lo, 42);
   EXPECT_EQ(r.hi, 42);
 }
@@ -113,7 +121,7 @@ TEST(DeriveBoundsTest, LiteralIsPoint) {
 TEST(DeriveBoundsTest, OpenVarRefUsesAttrRange) {
   FakeContext ctx(3);
   FakeBoundEnv env(&ctx);
-  const Interval r = DeriveBounds(*Resolve("c.price"), env);
+  const Interval r = Bounds(*Resolve("c.price"), env);
   EXPECT_EQ(r.lo, 1);
   EXPECT_EQ(r.hi, 1000);
 }
@@ -123,7 +131,7 @@ TEST(DeriveBoundsTest, BoundVarRefIsPoint) {
   ctx.Bind(0, Tick(1, 42.0));
   FakeBoundEnv env(&ctx);
   env.Close(0);
-  const Interval r = DeriveBounds(*Resolve("a.price"), env);
+  const Interval r = Bounds(*Resolve("a.price"), env);
   EXPECT_EQ(r.lo, 42);
   EXPECT_EQ(r.hi, 42);
 }
@@ -132,7 +140,7 @@ TEST(DeriveBoundsTest, OpenMinOnlyDecreases) {
   FakeContext ctx(3);
   ctx.Bind(1, Tick(1, 50.0)).Slot(0, 50.0);  // running min = 50
   FakeBoundEnv env(&ctx);
-  const Interval r = DeriveBounds(*Resolve("MIN(b.price)"), env);
+  const Interval r = Bounds(*Resolve("MIN(b.price)"), env);
   EXPECT_EQ(r.lo, 1);    // could fall to the range floor
   EXPECT_EQ(r.hi, 50);   // can never exceed the running min
 }
@@ -141,7 +149,7 @@ TEST(DeriveBoundsTest, OpenMaxOnlyIncreases) {
   FakeContext ctx(3);
   ctx.Bind(1, Tick(1, 50.0)).Slot(0, 50.0);  // running max = 50
   FakeBoundEnv env(&ctx);
-  const Interval r = DeriveBounds(*Resolve("MAX(b.price)"), env);
+  const Interval r = Bounds(*Resolve("MAX(b.price)"), env);
   EXPECT_EQ(r.lo, 50);
   EXPECT_EQ(r.hi, 1000);
 }
@@ -150,7 +158,7 @@ TEST(DeriveBoundsTest, OpenSumOfPositiveAttributeUnboundedAbove) {
   FakeContext ctx(3);
   ctx.Bind(1, Tick(1, 50.0)).Slot(0, 50.0);
   FakeBoundEnv env(&ctx);
-  const Interval r = DeriveBounds(*Resolve("SUM(b.price)"), env);
+  const Interval r = Bounds(*Resolve("SUM(b.price)"), env);
   EXPECT_EQ(r.lo, 50);  // price >= 1: sum can only grow
   EXPECT_EQ(r.hi, kInf);
 }
@@ -159,7 +167,7 @@ TEST(DeriveBoundsTest, AvgStaysWithinRange) {
   FakeContext ctx(3);
   ctx.Bind(1, Tick(1, 50.0)).Slot(0, 50.0);
   FakeBoundEnv env(&ctx);
-  const Interval r = DeriveBounds(*Resolve("AVG(b.price)"), env);
+  const Interval r = Bounds(*Resolve("AVG(b.price)"), env);
   EXPECT_GE(r.lo, 1);
   EXPECT_LE(r.hi, 1000);
 }
@@ -167,12 +175,12 @@ TEST(DeriveBoundsTest, AvgStaysWithinRange) {
 TEST(DeriveBoundsTest, CountAtLeastCurrentOrOne) {
   FakeContext ctx(3);
   FakeBoundEnv env(&ctx);
-  Interval r = DeriveBounds(*Resolve("COUNT(b)"), env);
+  Interval r = Bounds(*Resolve("COUNT(b)"), env);
   EXPECT_EQ(r.lo, 1);  // Kleene-plus: at least one iteration in a match
   EXPECT_EQ(r.hi, kInf);
 
   ctx.Bind(1, Tick(1, 1)).Bind(1, Tick(2, 2)).Bind(1, Tick(3, 3));
-  r = DeriveBounds(*Resolve("COUNT(b)"), env);
+  r = Bounds(*Resolve("COUNT(b)"), env);
   EXPECT_EQ(r.lo, 3);
 }
 
@@ -180,11 +188,11 @@ TEST(DeriveBoundsTest, FirstFixedOnceBound) {
   FakeContext ctx(3);
   ctx.Bind(1, Tick(1, 70.0));
   FakeBoundEnv env(&ctx);
-  const Interval r = DeriveBounds(*Resolve("FIRST(b).price"), env);
+  const Interval r = Bounds(*Resolve("FIRST(b).price"), env);
   EXPECT_EQ(r.lo, 70);
   EXPECT_EQ(r.hi, 70);
   // LAST can still be replaced by any in-range event.
-  const Interval last = DeriveBounds(*Resolve("LAST(b).price"), env);
+  const Interval last = Bounds(*Resolve("LAST(b).price"), env);
   EXPECT_EQ(last.lo, 1);
   EXPECT_EQ(last.hi, 1000);
 }
@@ -194,7 +202,7 @@ TEST(DeriveBoundsTest, ClosedKleeneIsPoint) {
   ctx.Bind(1, Tick(1, 30.0)).Bind(1, Tick(2, 20.0)).Slot(0, 20.0);
   FakeBoundEnv env(&ctx);
   env.Close(1);
-  const Interval r = DeriveBounds(*Resolve("MIN(b.price)"), env);
+  const Interval r = Bounds(*Resolve("MIN(b.price)"), env);
   EXPECT_EQ(r.lo, 20);
   EXPECT_EQ(r.hi, 20);
 }
@@ -208,7 +216,7 @@ TEST(DeriveBoundsTest, VShapeScoreBound) {
   FakeBoundEnv env(&ctx);
   env.Close(0);
   const Interval r =
-      DeriveBounds(*Resolve("(a.price - MIN(b.price)) / a.price"), env);
+      Bounds(*Resolve("(a.price - MIN(b.price)) / a.price"), env);
   // Best case: min falls to 1 -> (100-1)/100; worst: stays 90 -> 0.1.
   EXPECT_NEAR(r.lo, 0.1, 1e-9);
   EXPECT_NEAR(r.hi, 0.99, 1e-9);
@@ -218,13 +226,13 @@ TEST(DeriveBoundsTest, DefiniteComparisonsCollapse) {
   FakeContext ctx(3);
   FakeBoundEnv env(&ctx);
   // price in [1,1000]: price > 0 definitely true, price < 0 definitely false.
-  Interval r = DeriveBounds(*Resolve("c.price > 0"), env);
+  Interval r = Bounds(*Resolve("c.price > 0"), env);
   EXPECT_EQ(r.lo, 1);
   EXPECT_EQ(r.hi, 1);
-  r = DeriveBounds(*Resolve("c.price < 0"), env);
+  r = Bounds(*Resolve("c.price < 0"), env);
   EXPECT_EQ(r.lo, 0);
   EXPECT_EQ(r.hi, 0);
-  r = DeriveBounds(*Resolve("c.price > 500"), env);
+  r = Bounds(*Resolve("c.price > 500"), env);
   EXPECT_EQ(r.lo, 0);
   EXPECT_EQ(r.hi, 1);
 }
@@ -232,11 +240,11 @@ TEST(DeriveBoundsTest, DefiniteComparisonsCollapse) {
 TEST(DeriveBoundsTest, FunctionsMonotone) {
   FakeContext ctx(3);
   FakeBoundEnv env(&ctx);
-  Interval r = DeriveBounds(*Resolve("SQRT(c.price)"), env);
+  Interval r = Bounds(*Resolve("SQRT(c.price)"), env);
   EXPECT_NEAR(r.lo, 1.0, 1e-9);
   EXPECT_NEAR(r.hi, std::sqrt(1000.0), 1e-9);
   // c.price - 500 spans [-499, 500], so the absolute value peaks at 500.
-  r = DeriveBounds(*Resolve("ABS(c.price - 500)"), env);
+  r = Bounds(*Resolve("ABS(c.price - 500)"), env);
   EXPECT_EQ(r.lo, 0);
   EXPECT_EQ(r.hi, 500);
 }
@@ -260,7 +268,7 @@ TEST(DeriveBoundsTest, SoundnessOnRandomCompletions) {
     if (existing > 0) partial.Slot(0, running_min);
     FakeBoundEnv env(&partial);
     env.Close(0);
-    const Interval bound = DeriveBounds(*score, env);
+    const Interval bound = Bounds(*score, env);
 
     // Complete with 1..3 more b events and evaluate the true score.
     FakeContext complete(3);

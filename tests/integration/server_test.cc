@@ -675,6 +675,41 @@ TEST(ServerRobustnessTest, EngineErrorsSurfaceWithTheirCodes) {
   server.Stop();
 }
 
+// A kDeploy frame carrying hostile query text (5,000 nested levels, ~50 KB)
+// reached the parser while the server held its engine lock, and used to
+// overflow the stack of the whole process. It is now an in-band parse
+// error, and the same session goes on to deploy and serve a normal query.
+TEST(ServerRobustnessTest, DeepQueryTextIsAnInBandErrorSessionSurvives) {
+  CeprServer server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  CeprClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(client.Ddl(kStockDdl).ok());
+
+  std::string deep = "SELECT ";
+  for (int i = 0; i < 5000; ++i) deep += "1 + (";
+  deep += "1" + std::string(5000, ')') + " FROM Stock MATCH PATTERN SEQ(a)";
+  const Status st = client.Deploy("deep", deep, PrunedOptions());
+  EXPECT_EQ(st.code(), StatusCode::kParseError) << st.ToString();
+  EXPECT_NE(st.message().find("nested deeper than"), std::string::npos)
+      << st.ToString();
+
+  const std::vector<Event> events = StockEvents(2000);
+  const std::vector<RankedResult> reference = RunReference(events);
+  ASSERT_FALSE(reference.empty());
+  ASSERT_TRUE(client.Deploy("q", kStockQuery, PrunedOptions()).ok());
+  auto binding = client.BindStream("Stock");
+  ASSERT_TRUE(binding.ok()) << binding.status().ToString();
+  std::vector<Event> batch;
+  for (const Event& e : events) batch.push_back(WireEvent(e));
+  ASSERT_TRUE(client.PushBatch(binding.value(), batch).ok());
+  ASSERT_TRUE(client.Finish().ok());
+  ASSERT_EQ(client.results("q").size(), reference.size());
+  ExpectResultsMatch(client.results("q"), reference, 0);
+  ExpectServerAlive(&server);
+  server.Stop();
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace cepr

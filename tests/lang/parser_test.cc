@@ -1,9 +1,45 @@
 #include "lang/parser.h"
 
+#include <regex>
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "expr/bytecode.h"
 
 namespace cepr {
 namespace {
+
+// Every parse error names its position as "line N, column M".
+void ExpectPositionedParseError(const Status& st) {
+  EXPECT_EQ(st.code(), StatusCode::kParseError) << st.ToString();
+  EXPECT_TRUE(std::regex_search(st.message(),
+                                std::regex("line [0-9]+, column [0-9]+")))
+      << st.ToString();
+}
+
+void ExpectTooDeep(const Status& st) {
+  ExpectPositionedParseError(st);
+  EXPECT_NE(st.message().find("nested deeper than " +
+                              std::to_string(kMaxExprNesting) + " levels"),
+            std::string::npos)
+      << st.ToString();
+}
+
+void ExpectTooTall(const Status& st) {
+  ExpectPositionedParseError(st);
+  EXPECT_NE(st.message().find("taller than " + std::to_string(kMaxExprHeight) +
+                              " levels"),
+            std::string::npos)
+      << st.ToString();
+}
+
+std::string Repeat(const std::string& s, int n) {
+  std::string out;
+  out.reserve(s.size() * static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
 
 constexpr char kFullQuery[] =
     "SELECT a.symbol, a.price AS start, LAST(b).price, c.price "
@@ -226,6 +262,113 @@ TEST(ParserTest, ErrorsMentionPosition) {
   auto r = ParseQuery("SELECT * FROM S MATCH PATTERN SEQ()");
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("line 1"), std::string::npos);
+}
+
+TEST(ParserTest, SemanticErrorsNameTheOffendingToken) {
+  const std::string q = "SELECT * FROM S MATCH PATTERN SEQ(a) ";
+  for (const std::string& text :
+       {q + "USING BOGUS", q + "WITHIN 5 FORTNIGHTS", q + "EMIT EVERY 0 EVENTS"}) {
+    auto r = ParseQuery(text);
+    ASSERT_FALSE(r.ok()) << text;
+    ExpectPositionedParseError(r.status());
+  }
+  auto strategy = ParseQuery(q + "USING BOGUS");
+  EXPECT_NE(strategy.status().message().find("line 1, column 44"),
+            std::string::npos)
+      << strategy.status().ToString();
+
+  // The span in microseconds must fit int64 (the multiply used to overflow).
+  auto span = ParseQuery(q + "WITHIN 9223372036854775807 HOURS");
+  ASSERT_FALSE(span.ok());
+  ExpectPositionedParseError(span.status());
+  EXPECT_NE(span.status().message().find("WITHIN span out of range"),
+            std::string::npos);
+
+  auto index = ParseExpression("b[2].price");
+  ASSERT_FALSE(index.ok());
+  ExpectPositionedParseError(index.status());
+  auto func = ParseExpression("a.price + FROBNICATE(x.y)");
+  ASSERT_FALSE(func.ok());
+  ExpectPositionedParseError(func.status());
+  EXPECT_NE(func.status().message().find("line 1, column 11"), std::string::npos)
+      << func.status().ToString();
+}
+
+// Hostile query text: each of these used to recurse without a limit in the
+// parser or a later pass (or the Expr destructor) and crash the process.
+TEST(ParserTest, DeeplyNestedParenthesesRejected) {
+  const std::string text = Repeat("1 + (", 5000) + "1" + std::string(5000, ')');
+  auto e = ParseExpression(text);
+  ASSERT_FALSE(e.ok());
+  ExpectTooDeep(e.status());
+  auto q = ParseQuery("SELECT " + text + " FROM S MATCH PATTERN SEQ(a)");
+  ASSERT_FALSE(q.ok());
+  ExpectTooDeep(q.status());
+}
+
+TEST(ParserTest, LongOperatorChainRejected) {
+  auto e = ParseExpression("1" + Repeat(" + 1", 200000));
+  ASSERT_FALSE(e.ok());
+  ExpectTooTall(e.status());
+}
+
+TEST(ParserTest, RepeatedNotRejected) {
+  auto e = ParseExpression(Repeat("NOT ", 200000) + "TRUE");
+  ASSERT_FALSE(e.ok());
+  ExpectTooDeep(e.status());
+  auto neg = ParseExpression(Repeat("- ", 200000) + "1");
+  ASSERT_FALSE(neg.ok());
+  ExpectTooDeep(neg.status());
+}
+
+TEST(ParserTest, HugeInListRejected) {
+  auto e = ParseExpression("a.price IN (1" + Repeat(", 1", 100000) + ")");
+  ASSERT_FALSE(e.ok());
+  ExpectTooTall(e.status());
+}
+
+// IN and BETWEEN copy their left operand; nested, they used to double the
+// tree per level (2^20 nodes here) until memory ran out.
+TEST(ParserTest, NestedBetweenCannotGrowExponentially) {
+  const std::string text = Repeat("(", 20) + "a.price" +
+                           Repeat(" BETWEEN 1 AND 2)", 20);
+  auto e = ParseExpression(text);
+  ASSERT_FALSE(e.ok());
+  ExpectPositionedParseError(e.status());
+  EXPECT_NE(e.status().message().find("would copy more than"), std::string::npos)
+      << e.status().ToString();
+  // A few levels, and long IN lists within the limit, still parse.
+  EXPECT_TRUE(ParseExpression(Repeat("(", 3) + "a.price" +
+                              Repeat(" BETWEEN 1 AND 2)", 3))
+                  .ok());
+  EXPECT_TRUE(ParseExpression("a.price IN (1" + Repeat(", 1", 400) + ")").ok());
+}
+
+// Both limits are exact: nesting kMaxExprNesting levels deep and a chain of
+// height kMaxExprHeight parse, one level more does not. The deepest nesting
+// in the worst register shape (SUBSTR's third argument, two registers per
+// level) compiles within 2 * 256 + 1 registers, past the old 8-bit file.
+TEST(ParserTest, HeightLimitBoundsTheRegisterFile) {
+  const auto nested_substr = [](int levels) {
+    return Repeat("SUBSTR('x', 1, ", levels) + "1" + std::string(levels, ')');
+  };
+  auto deep = ParseExpression(nested_substr(kMaxExprNesting - 1));
+  ASSERT_TRUE(deep.ok()) << deep.status().ToString();
+  EXPECT_EQ((*deep)->height, kMaxExprNesting);
+  ExpectTooDeep(ParseExpression(nested_substr(kMaxExprNesting)).status());
+
+  auto prog = CompileToBytecode(**deep);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  EXPECT_GT(prog->num_regs, 255);
+  EXPECT_LE(prog->num_regs, 2 * kMaxExprNesting + 1);
+
+  auto chain = ParseExpression("1" + Repeat(" + 1", kMaxExprHeight - 1));
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  EXPECT_EQ((*chain)->height, kMaxExprHeight);
+  ExpectTooTall(ParseExpression("1" + Repeat(" + 1", kMaxExprHeight)).status());
+  auto chain_prog = CompileToBytecode(**chain);
+  ASSERT_TRUE(chain_prog.ok()) << chain_prog.status().ToString();
+  EXPECT_LE(chain_prog->num_regs, 2 * kMaxExprHeight + 1);
 }
 
 TEST(ParserTest, UnparseRoundTrips) {

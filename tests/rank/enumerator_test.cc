@@ -79,7 +79,8 @@ TEST(EnumeratorTest, TieAtThresholdIsExpandedNotCut) {
   TopK topk(1, /*desc=*/true);
   uint64_t enumerated = 0;
   uint64_t cutoffs = 0;
-  EnumerateLazyMatches(sets, &topk, &enumerated, &cutoffs);
+  VmState vm;
+  EnumerateLazyMatches(sets, &topk, &vm, &enumerated, &cutoffs);
 
   // A filled the heap (threshold 100); B's equal bound was expanded anyway
   // and displaced A; C's strictly-worse bound ended the walk unexpanded.
@@ -121,7 +122,8 @@ TEST(EnumeratorTest, NoThresholdEnumeratesEverything) {
   TopK topk(TopK::kUnlimited, /*desc=*/true);
   uint64_t enumerated = 0;
   uint64_t cutoffs = 0;
-  EnumerateLazyMatches(sets, &topk, &enumerated, &cutoffs);
+  VmState vm;
+  EnumerateLazyMatches(sets, &topk, &vm, &enumerated, &cutoffs);
 
   EXPECT_EQ(enumerated, 2u);
   EXPECT_EQ(cutoffs, 0u);

@@ -23,7 +23,8 @@ CompiledQueryPtr DipPlan() {
 
 TEST(ScorePrunerTest, InactiveWithoutThreshold) {
   auto plan = DipPlan();
-  ScorePruner pruner(plan->score, /*desc=*/true, PruneScope::kGlobal, 0);
+  ScorePruner pruner(plan->score, plan->score_prog.get(), /*desc=*/true,
+                     PruneScope::kGlobal, 0);
   ::cepr::Run run(plan.get(), 0);
   EXPECT_FALSE(pruner.ShouldPrune(run));
   EXPECT_EQ(pruner.checks(), 0u);
@@ -31,7 +32,8 @@ TEST(ScorePrunerTest, InactiveWithoutThreshold) {
 
 TEST(ScorePrunerTest, PrunesWhenUpperBoundCannotBeatThreshold) {
   auto plan = DipPlan();
-  ScorePruner pruner(plan->score, true, PruneScope::kGlobal, 0);
+  ScorePruner pruner(plan->score, plan->score_prog.get(), true,
+                     PruneScope::kGlobal, 0);
 
   // A run with a bound at price 50: max achievable score is 50 - 1 = 49.
   ::cepr::Run run(plan.get(), 0);
@@ -51,7 +53,8 @@ TEST(ScorePrunerTest, PrunesWhenUpperBoundCannotBeatThreshold) {
 
 TEST(ScorePrunerTest, TightensAsKleeneAccumulates) {
   auto plan = DipPlan();
-  ScorePruner pruner(plan->score, true, PruneScope::kGlobal, 0);
+  ScorePruner pruner(plan->score, plan->score_prog.get(), true,
+                     PruneScope::kGlobal, 0);
   pruner.SetThreshold(30.0);
 
   ::cepr::Run run(plan.get(), 0);
@@ -75,7 +78,8 @@ TEST(ScorePrunerTest, AscendingDirectionUsesLowerBound) {
                   "RANK BY COUNT(b) ASC LIMIT 1",
                   StockSchema())
                   .value();
-  ScorePruner pruner(plan->score, /*desc=*/false, PruneScope::kGlobal, 0);
+  ScorePruner pruner(plan->score, plan->score_prog.get(), /*desc=*/false,
+                     PruneScope::kGlobal, 0);
 
   ::cepr::Run run(plan.get(), 0);
   run.BeginComponent(0, std::make_shared<const Event>(Tick(0, 100)));
@@ -91,7 +95,8 @@ TEST(ScorePrunerTest, AscendingDirectionUsesLowerBound) {
 
 TEST(ScorePrunerTest, ClearThresholdDeactivates) {
   auto plan = DipPlan();
-  ScorePruner pruner(plan->score, true, PruneScope::kGlobal, 0);
+  ScorePruner pruner(plan->score, plan->score_prog.get(), true,
+                     PruneScope::kGlobal, 0);
   ::cepr::Run run(plan.get(), 0);
   run.BeginComponent(0, std::make_shared<const Event>(Tick(0, 50)));
   pruner.SetThreshold(1000.0);
@@ -104,7 +109,8 @@ TEST(ScorePrunerTest, MatcherIntegrationCountsPrunes) {
   // Wire a pruner with an artificially high bar into a matcher: every run
   // should be pruned at creation, so no matches survive.
   auto plan = DipPlan();
-  ScorePruner pruner(plan->score, true, PruneScope::kGlobal, 0);
+  ScorePruner pruner(plan->score, plan->score_prog.get(), true,
+                     PruneScope::kGlobal, 0);
   pruner.SetThreshold(1e9);
   AtomicMatcherStats stats;
   uint64_t next_id = 0;
