@@ -3,22 +3,42 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 
 namespace cepr {
 namespace {
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+/// Slicing-by-8 tables for the reflected IEEE polynomial: kCrc[0] is the
+/// classic byte-at-a-time table, and kCrc[k][b] is the CRC of byte b
+/// followed by k zero bytes, so one step folds eight input bytes.
+struct CrcTables {
+  uint32_t t[8][256];
+};
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables.t[0][i] = c;
   }
-  return table;
+  for (int k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables.t[k - 1][i];
+      tables.t[k][i] = (prev >> 8) ^ tables.t[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrc = MakeCrcTables();
+
+/// Little-endian load, independent of host byte order and alignment.
+inline uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
@@ -48,11 +68,18 @@ Status FsyncParentDir(const std::string& path) {
 }
 
 uint32_t Crc32(const void* data, size_t size) {
-  static const std::array<uint32_t, 256> kTable = MakeCrcTable();
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = kTable[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ crc;
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = kCrc.t[7][lo & 0xFFu] ^ kCrc.t[6][(lo >> 8) & 0xFFu] ^
+          kCrc.t[5][(lo >> 16) & 0xFFu] ^ kCrc.t[4][lo >> 24] ^
+          kCrc.t[3][hi & 0xFFu] ^ kCrc.t[2][(hi >> 8) & 0xFFu] ^
+          kCrc.t[1][(hi >> 16) & 0xFFu] ^ kCrc.t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = kCrc.t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

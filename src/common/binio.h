@@ -10,9 +10,10 @@
 
 namespace cepr {
 
-/// CRC-32 (IEEE 802.3 polynomial, the zlib convention) over `size` bytes.
-/// Used to frame every checkpoint section and WAL record, so torn or
-/// bit-flipped files fail validation instead of deserializing garbage.
+/// CRC-32 (IEEE 802.3 polynomial, the zlib convention) over `size` bytes,
+/// computed eight bytes per step (slicing-by-8). Used to frame every
+/// checkpoint section, WAL record and wire frame, so torn or bit-flipped
+/// bytes fail validation instead of deserializing garbage.
 uint32_t Crc32(const void* data, size_t size);
 
 /// Fsyncs the directory containing `path`. Creating a file (WAL O_CREAT)

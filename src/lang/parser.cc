@@ -283,8 +283,9 @@ class Parser {
 
     if (Match(TokenKind::kLimit)) {
       if (!Match(TokenKind::kInteger)) return Error("expected integer after LIMIT");
+      // The lexer yields only non-negative integer literals ('-' is its own
+      // token), so no LIMIT value can be negative.
       q->limit = Previous().int_value;
-      if (q->limit < 0) return Error("LIMIT must be non-negative", Previous());
     }
 
     if (Match(TokenKind::kEmit)) {

@@ -2,6 +2,7 @@
 #define CEPR_NET_SESSION_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -16,10 +17,20 @@ namespace net {
 
 class CeprServer;
 
+/// Frames queued for one session are sent together once they pass this
+/// many bytes, even mid engine call; it caps each session's send buffer.
+inline constexpr size_t kSessionFlushBytes = 64u << 10;
+
 /// One accepted connection: a thread reading request frames and answering
-/// each with exactly one kReply (kResult frames for subscribed queries may
-/// interleave before it, pushed from whichever session thread is driving
-/// the engine).
+/// each with exactly one kReply. kResult frames for subscribed queries,
+/// produced by whichever session thread is driving the engine, precede the
+/// kReply of the request that caused them.
+///
+/// Outgoing frames are queued in a per-session buffer and leave in one
+/// send(2) per request: a session's own results go out with its reply, and
+/// results it receives from another session's engine call are sent before
+/// that call releases the engine mutex (CeprServer::EngineCall). The socket
+/// has TCP_NODELAY set, so no frame waits on Nagle's algorithm.
 ///
 /// Error containment mirrors the WAL's two tiers: a frame-level violation
 /// (CRC mismatch, oversized length, torn read) means the byte stream itself
@@ -46,16 +57,24 @@ class Session {
   /// the session is then safe to Join and destroy.
   bool Finished() const { return done_.load(std::memory_order_acquire); }
 
-  /// Writes one frame to the peer, serialized against concurrent writers
-  /// (the session's own replies vs. results pushed by other sessions'
-  /// engine calls). Write failures mark the session broken; subsequent
-  /// sends are dropped (the serving thread notices on its next read).
-  Status SendFrame(const std::string& payload);
+  /// Appends one frame to the send buffer, behind the frames already there,
+  /// and sends the buffer at once when it passes kSessionFlushBytes. Safe
+  /// from any thread: the write mutex serializes the session's own replies
+  /// against results queued by other sessions' engine calls. Once the
+  /// session is broken (a failed write, or teardown), frames are dropped;
+  /// the serving thread notices on its next read.
+  void QueueFrame(const std::string& payload);
+
+  /// Sends every queued frame in one send(2). A failed write marks the
+  /// session broken.
+  Status Flush();
 
   uint64_t id() const { return id_; }
 
  private:
   void Serve();
+  /// Sends out_ and clears it; caller holds write_mu_.
+  Status FlushLocked();
   /// Decodes one request payload, executes it, returns the encoded kReply.
   std::string Dispatch(const std::string& payload);
 
@@ -65,7 +84,9 @@ class Session {
   std::thread thread_;
   std::atomic<bool> done_{false};
 
+  /// Guards the send buffer and every write to the socket.
   std::mutex write_mu_;
+  std::string out_;  // queued frames, bounded by kSessionFlushBytes + 1 frame
   bool write_broken_ = false;
 
   /// Per-session stream handles: kBindStream appends each stream once,

@@ -158,8 +158,16 @@ TEST(ParserTest, EmitVariants) {
 }
 
 TEST(ParserTest, NegativeLimitRejected) {
-  // The '-' cannot even start an integer here.
-  EXPECT_FALSE(ParseQuery("SELECT * FROM S MATCH PATTERN SEQ(a) LIMIT -1").ok());
+  // The '-' cannot even start an integer here: the lexer makes it its own
+  // token, so the parser rejects it where the integer should be.
+  auto r = ParseQuery("SELECT * FROM S MATCH PATTERN SEQ(a) LIMIT -1");
+  ASSERT_FALSE(r.ok());
+  ExpectPositionedParseError(r.status());
+  EXPECT_NE(r.status().message().find("expected integer after LIMIT"),
+            std::string::npos)
+      << r.status().ToString();
+  EXPECT_NE(r.status().message().find("line 1, column 44"), std::string::npos)
+      << r.status().ToString();
 }
 
 TEST(ParserTest, ExpressionPrecedence) {
