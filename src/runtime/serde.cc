@@ -78,6 +78,10 @@ bool LoadEventBody(BinReader* r, SchemaPtr schema, Event* out) {
   if (!r->I64(&ts) || !r->U64(&seq) || !r->Str(&tag) || !r->U32(&n)) {
     return false;
   }
+  if (n > r->remaining()) {  // each value occupies >= 1 byte
+    r->Fail();
+    return false;
+  }
   std::vector<Value> values;
   values.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
