@@ -563,7 +563,9 @@ Status Engine::Flush() {
   return Status::OK();
 }
 
-Status Engine::PushAll(std::vector<Event> events) {
+Status Engine::PushAll(std::vector<Event> events, size_t first_index,
+                       size_t batch_size) {
+  if (batch_size == 0) batch_size = events.size();
   for (size_t i = 0; i < events.size(); ++i) {
     const Status s = Push(std::move(events[i]));
     if (s.ok()) continue;
@@ -575,9 +577,10 @@ Status Engine::PushAll(std::vector<Event> events) {
       events_quarantined_.Increment();
       continue;
     }
-    return Status(s.code(), "PushAll: event at index " + std::to_string(i) +
-                                " of " + std::to_string(events.size()) +
-                                " failed (prefix [0, " + std::to_string(i) +
+    const std::string at = std::to_string(first_index + i);
+    return Status(s.code(), "PushAll: event at index " + at + " of " +
+                                std::to_string(batch_size) +
+                                " failed (prefix [0, " + at +
                                 ") already ingested): " + s.message());
   }
   return Status::OK();

@@ -184,7 +184,11 @@ class Engine {
   /// FaultPolicy::kSkipAndCount failing events are skipped (counted in
   /// events_quarantined) and the rest of the batch proceeds — except a
   /// tripped shard stall budget (kUnavailable), which always surfaces.
-  Status PushAll(std::vector<Event> events);
+  /// A caller that feeds one batch of `batch_size` events in pieces passes
+  /// each piece's `first_index` in it, so the failure names positions in
+  /// the whole batch (by default `events` is the whole batch).
+  Status PushAll(std::vector<Event> events, size_t first_index = 0,
+                 size_t batch_size = 0);
 
   /// Signals end-of-stream: every query flushes its buffered windows. The
   /// shard backend also joins its workers and is terminal afterwards.

@@ -211,6 +211,19 @@ TEST(EnginePushAllTest, FailFastNamesFailingIndexAndKeepsPrefix) {
   engine.Finish();
 }
 
+TEST(EnginePushAllTest, PieceOfALargerBatchNamesBatchPositions) {
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterSchema(testing::StockSchema()).ok());
+  // The four events sit at [10, 14) of a 40-event batch.
+  const Status s = engine.PushAll(BatchWithBadThird(), 10, 40);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("index 12 of 40 failed (prefix [0, 12) "),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(engine.events_ingested(), 2u);
+  engine.Finish();
+}
+
 TEST(EnginePushAllTest, SkipAndCountSkipsBadEventsAndContinuesBatch) {
   EngineOptions engine_options;
   engine_options.fault_policy = FaultPolicy::kSkipAndCount;
