@@ -1,10 +1,6 @@
-// E7 — Multi-query scale-out, and E16 — shared multi-query evaluation.
+// E16 — shared multi-query evaluation.
 //
-// E7: the demo ran several live query panels over one feed. Every ingested
-// event visits every registered query, so aggregate ingest throughput is
-// expected to fall ~1/q while per-query processed-events/s stays flat.
-//
-// E16: a fleet of queries that differ only in one selection constant
+// A fleet of queries that differ only in one selection constant
 // (`a.volume = V`). With shared evaluation the engine interns one NFA
 // template for the whole fleet and the predicate index dispatches each
 // event to the handful of queries whose entry predicate can match, so
@@ -21,50 +17,6 @@ namespace bench {
 namespace {
 
 constexpr size_t kEvents = 50000;
-
-void BM_MultiQuery(benchmark::State& state) {
-  const int num_queries = static_cast<int>(state.range(0));
-  const auto& events = StockStream(kEvents, 0.01);
-  for (auto _ : state) {
-    auto engine = StockEngine();
-    std::vector<std::unique_ptr<NullSink>> sinks;
-    for (int i = 0; i < num_queries; ++i) {
-      sinks.push_back(std::make_unique<NullSink>());
-      // Vary the anchor threshold per query so plans differ slightly, as
-      // the demo's independently-authored panels would.
-      std::string query =
-          "SELECT a.symbol, MIN(b.price) FROM Stock "
-          "MATCH PATTERN SEQ(a, b+, c) PARTITION BY symbol "
-          "WHERE b[i].price < b[i-1].price AND b[1].price < a.price "
-          "  AND c.price > a.price AND a.price > " +
-          std::to_string(5 + i) +
-          " WITHIN 100 MILLISECONDS "
-          "RANK BY (a.price - MIN(b.price)) / a.price DESC "
-          "LIMIT 5 EMIT ON WINDOW CLOSE";
-      const Status s = engine->RegisterQuery("q" + std::to_string(i), query,
-                                             QueryOptions{}, sinks.back().get());
-      CEPR_CHECK(s.ok()) << s.ToString();
-    }
-    Replay(engine.get(), events);
-  }
-  // items = ingested events (not event*query visits): the counter shows the
-  // ingest rate an external producer would observe.
-  state.SetItemsProcessed(static_cast<int64_t>(kEvents) * state.iterations());
-  state.counters["query_visits_per_s"] = benchmark::Counter(
-      static_cast<double>(kEvents) * num_queries * state.iterations(),
-      benchmark::Counter::kIsRate);
-}
-
-BENCHMARK(BM_MultiQuery)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Arg(16)
-    ->Arg(32)
-    ->Arg(64)
-    ->ArgName("queries")
-    ->Unit(benchmark::kMillisecond);
 
 // One fleet member: anchor on an exact volume so the predicate index can
 // dispatch (volume is INT RANGE [1, 10000] in the Stock schema — each

@@ -1,7 +1,6 @@
 #ifndef CEPR_BENCH_BENCH_UTIL_H_
 #define CEPR_BENCH_BENCH_UTIL_H_
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -53,30 +52,16 @@ inline int BenchMain(int argc, char** argv) {
 
 /// The canonical CEPR evaluation query: dip-and-recovery over Stock,
 /// ranked by relative dip depth.
-inline std::string DipQuery(int limit, Timestamp within_ms = 100,
-                            const std::string& strategy = "SKIP_TILL_NEXT_MATCH",
-                            const std::string& emit = "EMIT ON WINDOW CLOSE") {
-  std::string q =
-      "SELECT a.symbol, a.price, MIN(b.price), c.price "
-      "FROM Stock MATCH PATTERN SEQ(a, b+, c) "
-      "USING " + strategy + " " +
-      "PARTITION BY symbol "
-      "WHERE b[i].price < b[i-1].price AND b[1].price < a.price "
-      "  AND c.price > a.price "
-      "WITHIN " + std::to_string(within_ms) + " MILLISECONDS "
-      "RANK BY (a.price - MIN(b.price)) / a.price DESC ";
-  if (limit >= 0) q += "LIMIT " + std::to_string(limit) + " ";
-  q += emit;
-  return q;
-}
-
-/// Unranked variant (pure detection).
-inline std::string DetectQuery(Timestamp within_ms = 100) {
-  return "SELECT a.symbol, a.price FROM Stock MATCH PATTERN SEQ(a, b+, c) "
+inline std::string DipQuery(int limit) {
+  return "SELECT a.symbol, a.price, MIN(b.price), c.price "
+         "FROM Stock MATCH PATTERN SEQ(a, b+, c) "
+         "USING SKIP_TILL_NEXT_MATCH "
          "PARTITION BY symbol "
          "WHERE b[i].price < b[i-1].price AND b[1].price < a.price "
          "  AND c.price > a.price "
-         "WITHIN " + std::to_string(within_ms) + " MILLISECONDS";
+         "WITHIN 100 MILLISECONDS "
+         "RANK BY (a.price - MIN(b.price)) / a.price DESC "
+         "LIMIT " + std::to_string(limit) + " EMIT ON WINDOW CLOSE";
 }
 
 /// Pre-generates a deterministic stock stream shared across benchmark
@@ -116,14 +101,6 @@ inline void Replay(Engine* engine, const std::vector<Event>& events) {
     const Status s = engine->Push(Event(e));
     CEPR_CHECK(s.ok()) << s.ToString();
   }
-  engine->Finish();
-}
-
-/// Replays a copy of `events` through one PushAll call, finishing at the
-/// end.
-inline void ReplayBatch(Engine* engine, const std::vector<Event>& events) {
-  const Status s = engine->PushAll(std::vector<Event>(events));
-  CEPR_CHECK(s.ok()) << s.ToString();
   engine->Finish();
 }
 

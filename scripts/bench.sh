@@ -21,7 +21,11 @@
 #
 # The working tree is benchmarked as it is; the head commit is recorded
 # with a "-dirty" suffix when it has uncommitted changes. Each tree builds
-# into its own CARGO_TARGET_DIR under the work directory.
+# into its own CARGO_TARGET_DIR under the work directory, and each run's
+# stdout and stderr are kept there. A run that exits non-zero or prints no
+# result line does not stop the loop: the output lists it under
+# "failed_runs" (tree, workload, seed, exit code, last stderr lines), the
+# medians are taken over the runs that completed, and the script exits 1.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -69,14 +73,22 @@ fi
 
 tree_dir() { [[ "$1" == head ]] && echo "$root" || echo "$work/base-src"; }
 
-# One perfbench run; its result line goes to $work/results/<tree>-<w>-<seed>.json.
+# One perfbench run. Its stdout, stderr and exit code go to
+# $work/results/<tree>-<w>-<seed>.{out,err,exit}; a failed run is recorded
+# and the loop goes on (the summary lists it under "failed_runs").
 run_one() {
   local tree=$1 workload=$2 seed=$3
+  local stem="$work/results/$tree-$workload-$seed"
+  local code=0
   echo "[bench] $tree $workload seed $seed" >&2
   (cd "$(tree_dir "$tree")" &&
    CARGO_TARGET_DIR="$work/build-$tree" python3 perfbench/run.py \
      --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) \
-    | tail -n 1 > "$work/results/$tree-$workload-$seed.json"
+    > "$stem.out" 2> "$stem.err" || code=$?
+  echo "$code" > "$stem.exit"
+  if [[ $code -ne 0 ]]; then
+    echo "[bench] $tree $workload seed $seed exited $code; see $stem.err" >&2
+  fi
 }
 
 # Build each tree (and warm it) before any timed run.
@@ -111,15 +123,36 @@ with open("BENCHMARK.json") as f:
 trees = ["head"] + (["base"] if base else [])
 
 
+failed_runs = []
+
+
 def load(tree, workload):
-    rows = []
+    """The result lines of one tree's runs of a workload, keyed by seed. A
+    run that exited non-zero or printed no result line goes to failed_runs
+    with the tail of its stderr instead."""
+    rows = {}
     for seed in range(1, runs + 1):
-        with open(os.path.join(results_dir, f"{tree}-{workload}-{seed}.json")) as f:
-            rows.append(json.load(f))
+        stem = os.path.join(results_dir, f"{tree}-{workload}-{seed}")
+        with open(stem + ".exit") as f:
+            code = int(f.read())
+        with open(stem + ".out") as f:
+            lines = f.read().splitlines()
+        try:
+            row = json.loads(lines[-1]) if code == 0 and lines else None
+        except ValueError:
+            row = None
+        if row is None:
+            with open(stem + ".err", errors="replace") as f:
+                tail = f.read().splitlines()[-20:]
+            failed_runs.append({"tree": tree, "workload": workload,
+                                "seed": seed, "exit_code": code,
+                                "stderr_tail": tail})
+        else:
+            rows[seed] = row
     return rows
 
 
-def verdict(name, h, b, wins):
+def verdict(name, h, b, wins, pairs):
     """Reads one metric's A/B the way the benchmark's gates do: a gain
     needs 9 of 10 pairs and a median move past the parent's IQR; a parent
     spread wider than the bound leaves the metric unresolved unless every
@@ -128,7 +161,7 @@ def verdict(name, h, b, wins):
     bound = metrics[name]["bound"]
     gain = sign * (h["median"] - b["median"])
     spread = b["iqr_over_median"] or 0.0
-    if wins >= 0.9 * runs and gain > spread * b["median"]:
+    if wins >= 0.9 * pairs and gain > spread * b["median"]:
         return "gain"
     if spread > bound and (min(sign * x for x in h["runs"]) <=
                            max(sign * x for x in b["runs"])):
@@ -156,31 +189,46 @@ for workload in workloads.split():
     entry = {}
     rows = {tree: load(tree, workload) for tree in trees}
     for tree in trees:
+        done = list(rows[tree].values())
         entry[tree] = {
-            "correct": all(r["correct"] for r in rows[tree]),
-            "failed": sum(r["failed"] for r in rows[tree]),
+            "completed": len(done),
+            "correct": all(r["correct"] for r in done),
+            "failed": sum(r["failed"] for r in done),
             "metrics": {name: summary([r["metrics"][name]["value"]
-                                       for r in rows[tree]])
-                        for name in metrics if name in rows[tree][0]["metrics"]},
+                                       for r in done])
+                        for name in metrics
+                        if done and name in done[0]["metrics"]},
         }
     if base:
+        # Pairs are compared seed by seed, over the seeds both trees completed.
+        seeds = sorted(rows["head"].keys() & rows["base"].keys())
         ratio = {}
         head_better = {}
         verdicts = {}
         for name, m in entry["head"]["metrics"].items():
+            if name not in entry["base"]["metrics"]:
+                continue
             b = entry["base"]["metrics"][name]
             ratio[name] = m["median"] / b["median"] if b["median"] else None
-            wins = sum((h > p) if metrics[name]["better"] == "higher" else (h < p)
-                       for h, p in zip(m["runs"], b["runs"]))
-            head_better[name] = f"{wins}/{runs}"
-            verdicts[name] = verdict(name, m, b, wins)
+            value = lambda tree, seed: rows[tree][seed]["metrics"][name]["value"]
+            wins = sum((value("head", s) > value("base", s))
+                       if metrics[name]["better"] == "higher"
+                       else (value("head", s) < value("base", s))
+                       for s in seeds)
+            head_better[name] = f"{wins}/{len(seeds)}"
+            verdicts[name] = verdict(name, m, b, wins, len(seeds))
         entry["head_over_base_median"] = ratio
         entry["pairs_head_better"] = head_better
         entry["verdict"] = verdicts
     report["workloads"][workload] = entry
+report["failed_runs"] = failed_runs
 
 with open(out, "w") as f:
     json.dump(report, f, indent=2, sort_keys=False)
     f.write("\n")
 print(f"[bench] wrote {out}", file=sys.stderr)
+if failed_runs:
+    print(f"[bench] {len(failed_runs)} run(s) failed; see failed_runs in {out}",
+          file=sys.stderr)
+    sys.exit(1)
 EOF

@@ -73,7 +73,7 @@ if [[ $run_asan -eq 1 ]]; then
     --gtest_filter='Robustness*:Overload*:FaultInjection*:ShardedFault*:ShardCounts/ShardedFault*:CowEquivalence*:Disorder*:ShardCounts/Disorder*:*Recovery*:ServerTest.*:ServerRobustnessTest.*'
   ./build-asan/tests/net_test
   ./build-asan/tests/runtime_test \
-    --gtest_filter='Csv*:ReorderBuffer*:Idempotence*:Snapshot*:TornFileFuzz*'
+    --gtest_filter='Csv*:ReorderBuffer*:Idempotence*:Snapshot*:TornFileFuzz*:SerdeCount*'
   # The shared match DAG is manually refcounted arena memory — exactly what
   # ASan exists to audit; the enumerator suite drives its free/reuse cycle.
   ./build-asan/tests/engine_test --gtest_filter='MatchDag*'

@@ -5,6 +5,21 @@
 #include "runtime/query.h"
 
 namespace cepr {
+namespace {
+
+// Reads a u32 element count and fails the reader when the bytes left
+// cannot hold that many elements of at least `min_bytes` each, so a
+// corrupt count is rejected before anything is reserved for it.
+bool LoadCount(BinReader* r, size_t min_bytes, uint32_t* n) {
+  if (!r->U32(n)) return false;
+  if (*n > r->remaining() / min_bytes) {
+    r->Fail();
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 void SaveValue(BinWriter* w, const Value& v) {
   w->U8(static_cast<uint8_t>(v.type()));
@@ -75,11 +90,8 @@ bool LoadEventBody(BinReader* r, SchemaPtr schema, Event* out) {
   uint64_t seq = 0;
   std::string tag;
   uint32_t n = 0;
-  if (!r->I64(&ts) || !r->U64(&seq) || !r->Str(&tag) || !r->U32(&n)) {
-    return false;
-  }
-  if (n > r->remaining()) {  // each value occupies >= 1 byte
-    r->Fail();
+  if (!r->I64(&ts) || !r->U64(&seq) || !r->Str(&tag) ||
+      !LoadCount(r, /*min_bytes=*/1, &n)) {  // a value is >= its tag byte
     return false;
   }
   std::vector<Value> values;
@@ -158,14 +170,15 @@ bool LoadMatch(EventUninterner* in, BinReader* r, Match* out) {
   uint32_t num_vars = 0;
   if (!r->U64(&out->id) || !r->U64(&out->last_sequence) ||
       !r->I64(&out->first_ts) || !r->I64(&out->last_ts) ||
-      !r->F64(&out->score) || !r->U32(&num_vars)) {
+      !r->F64(&out->score) ||
+      !LoadCount(r, /*min_bytes=*/4, &num_vars)) {  // each var's u32 count
     return false;
   }
   out->bindings.clear();
   out->bindings.resize(num_vars);
   for (uint32_t v = 0; v < num_vars; ++v) {
     uint32_t n = 0;
-    if (!r->U32(&n)) return false;
+    if (!LoadCount(r, /*min_bytes=*/4, &n)) return false;  // u32 event refs
     out->bindings[v].reserve(n);
     for (uint32_t i = 0; i < n; ++i) {
       EventPtr e;
@@ -174,7 +187,7 @@ bool LoadMatch(EventUninterner* in, BinReader* r, Match* out) {
     }
   }
   uint32_t num_row = 0;
-  if (!r->U32(&num_row)) return false;
+  if (!LoadCount(r, /*min_bytes=*/1, &num_row)) return false;
   out->row.clear();
   out->row.reserve(num_row);
   for (uint32_t i = 0; i < num_row; ++i) {
@@ -188,7 +201,8 @@ bool LoadMatch(EventUninterner* in, BinReader* r, Match* out) {
 Result<SchemaPtr> LoadSchema(BinReader* r) {
   std::string name;
   uint32_t n = 0;
-  if (!r->Str(&name) || !r->U32(&n)) {
+  // An attribute is at least its name length, type and range flag.
+  if (!r->Str(&name) || !LoadCount(r, /*min_bytes=*/6, &n)) {
     return r->ToStatus("schema");
   }
   std::vector<Attribute> attrs;
