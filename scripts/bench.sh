@@ -210,10 +210,9 @@ for workload in workloads.split():
                 continue
             b = entry["base"]["metrics"][name]
             ratio[name] = m["median"] / b["median"] if b["median"] else None
-            value = lambda tree, seed: rows[tree][seed]["metrics"][name]["value"]
-            wins = sum((value("head", s) > value("base", s))
-                       if metrics[name]["better"] == "higher"
-                       else (value("head", s) < value("base", s))
+            sign = 1 if metrics[name]["better"] == "higher" else -1
+            wins = sum(sign * (rows["head"][s]["metrics"][name]["value"] -
+                               rows["base"][s]["metrics"][name]["value"]) > 0
                        for s in seeds)
             head_better[name] = f"{wins}/{len(seeds)}"
             verdicts[name] = verdict(name, m, b, wins, len(seeds))
